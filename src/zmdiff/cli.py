@@ -39,23 +39,8 @@ from .oracle import (
     truncated_prefix_count,
     verify_solution,
 )
-from .problem import (
-    InsufficientData,
-    InvalidLiftDigit,
-    ProblemSpec,
-    SequenceSpec,
-    reduce_by_gcd,
-)
-from .solver import (
-    InsufficientLookahead,
-    classify_equation,
-    classify_initial_problem,
-    compatibility_residue,
-    general_solution,
-    solve_initial_problem,
-    split_problem,
-    truncation_depth,
-)
+from .problem import InsufficientData, InvalidLiftDigit, ProblemSpec, SequenceSpec
+from .solver import Classification, InsufficientLookahead, Structure, refusal, structure
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -153,33 +138,25 @@ def document_to_spec(doc: ProblemDocument) -> ProblemSpec:
 # report construction
 
 
-def _structure_report(spec: ProblemSpec) -> dict:
+def _structure_report(st: Structure) -> dict:
     """The split/reduction data every command's report leads with."""
-    d = spec.d
-    split = split_modulus(factorize(spec.m), spec.b)
-    mp = spec.m // d
-    psplit = split_modulus(factorize(mp), spec.b // d)
-    ind_b2 = nilpotency_index(Residue(spec.b, split.m2)) if split.m2 != 1 else None
-    ind_b2_prime = (
-        nilpotency_index(Residue(spec.b // d, psplit.m2)) if psplit.m2 != 1 else None
-    )
     return {
-        "m": spec.m,
-        "a": spec.a,
-        "b": spec.b,
-        "d": d,
-        "m1": split.m1,
-        "m2": split.m2,
-        "ind_b2": ind_b2,
-        "m_prime": mp,
-        "m1_prime": psplit.m1,
-        "m2_prime": psplit.m2,
-        "ind_b2_prime": ind_b2_prime,
+        "m": st.spec.m,
+        "a": st.spec.a,
+        "b": st.spec.b,
+        "d": st.d,
+        "m1": st.split.m1,
+        "m2": st.split.m2,
+        "ind_b2": st.ind_b2,
+        "m_prime": st.psplit.m,
+        "m1_prime": st.psplit.m1,
+        "m2_prime": st.psplit.m2,
+        "ind_b2_prime": st.ind_b2_prime,
     }
 
 
-def _verdict_dict(spec: ProblemSpec) -> dict:
-    cls = classify_equation(spec)
+def _verdict_dict(st: Structure) -> tuple[dict, Classification]:
+    cls = st.classify()
     out: dict[str, Any] = {"kind": cls.kind}
     if cls.kind == "finite":
         out["count"] = cls.count
@@ -191,33 +168,20 @@ def _verdict_dict(spec: ProblemSpec) -> dict:
     return out, cls
 
 
-def _compatibility_dict(spec: ProblemSpec) -> dict | None:
-    """The start-value condition, over m2 (d == 1) or m2' (d > 1), if it exists."""
-    d = spec.d
+def _compatibility_dict(st: Structure) -> dict | None:
+    """The start-value condition over m2', if the problem has one."""
     try:
-        if d == 1:
-            sp = split_problem(spec)
-            if sp.iso.split.m2 == 1:
-                return None
-            req = compatibility_residue(sp)
-        else:
-            red = reduce_by_gcd(spec)
-            if red.m == 1:
-                return None
-            sp = split_problem(red.as_problem())
-            if sp.iso.split.m2 == 1:
-                return None
-            req = compatibility_residue(sp)
-    except (InsufficientLookahead, InsufficientData):
+        req = st.compatibility if st.witness is None else None
+    except InsufficientLookahead:
         return None
-    except ValueError:
+    if req is None:
         return None
     return {"modulus": req.modulus, "required": req.value}
 
 
-def _initial_dict(spec: ProblemSpec, y0: int) -> dict:
-    icls = classify_initial_problem(spec, Residue(y0, spec.m))
-    out: dict[str, Any] = {"y0": y0 % spec.m, "kind": icls.kind}
+def _initial_dict(st: Structure, y0: int) -> dict:
+    icls = st.classify_initial(Residue(y0, st.spec.m))
+    out: dict[str, Any] = {"y0": y0 % st.spec.m, "kind": icls.kind}
     if icls.kind == "none":
         out["reason"] = icls.reason
         if icls.reason == "divisibility":
@@ -259,15 +223,16 @@ def _freedom_text(sol) -> str:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     doc = _load_document(args)
-    spec = document_to_spec(doc)
+    st = structure(document_to_spec(doc))
+    spec = st.spec
     y0 = args.y0 if args.y0 is not None else doc.y0
     report = {"command": "classify"}
-    report.update(_structure_report(spec))
-    verdict, cls = _verdict_dict(spec)
+    report.update(_structure_report(st))
+    verdict, cls = _verdict_dict(st)
     report["verdict"] = verdict
     report["support_qualified"] = cls.support_qualified
-    report["compatibility"] = _compatibility_dict(spec)
-    report["initial"] = _initial_dict(spec, y0) if y0 is not None else None
+    report["compatibility"] = _compatibility_dict(st)
+    report["initial"] = _initial_dict(st, y0) if y0 is not None else None
 
     lines = [
         _kv("equation", f"{spec.b}*x[n+1] = {spec.a}*x[n] + f[n]  (mod {spec.m})"),
@@ -322,26 +287,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_FAIL if headline == "none" else EXIT_OK
 
 
-def _build_solution(spec: ProblemSpec, y0: int | None):
-    """Returns (mode, solution) or (mode, None) plus a no-solution report stub."""
-    if y0 is not None:
-        icls = classify_initial_problem(spec, Residue(y0, spec.m))
-        if icls.kind == "none":
-            return "initial", None, icls
-        return "initial", solve_initial_problem(spec, Residue(y0, spec.m)), icls
-    cls = classify_equation(spec)
-    if cls.kind == "none":
-        return "equation", None, cls
-    return "equation", general_solution(spec), cls
-
-
-def _no_solution_detail(verdict) -> str:
-    if getattr(verdict, "reason", None) == "compatibility":
-        return (
-            f"no solution: start value must be {verdict.required.value} "
-            f"(mod {verdict.required.modulus}), got {verdict.actual.value}"
-        )
-    return f"no solution: forcing term {verdict.witness_index} is not divisible by d"
+def _build_solution(st: Structure, y0: int | None):
+    """(mode, solution, None), or (mode, None, why there is no solution)."""
+    if y0 is None:
+        verdict, start = st.classify(), None
+    else:
+        start = Residue(y0, st.spec.m)
+        verdict = st.classify_initial(start)
+    mode = "equation" if start is None else "initial"
+    if verdict.kind == "none":
+        return mode, None, refusal(verdict)
+    return mode, st.solution(start), None
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -349,9 +305,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     spec = document_to_spec(doc)
     y0 = args.y0 if args.y0 is not None else doc.y0
     horizon = args.horizon if args.horizon is not None else doc.horizon
-    mode, sol, verdict = _build_solution(spec, y0)
+    mode, sol, detail = _build_solution(structure(spec), y0)
     if sol is None:
-        detail = _no_solution_detail(verdict)
         report = {"command": "solve", "mode": mode, "verdict": "none", "detail": detail}
         _emit(report, args.format, [detail])
         return EXIT_FAIL
@@ -402,9 +357,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if cap < 1:
         print(f"error: --max must be >= 1, got {cap}", file=sys.stderr)
         return EXIT_USAGE
-    mode, sol, verdict = _build_solution(spec, y0)
+    mode, sol, detail = _build_solution(structure(spec), y0)
     if sol is None:
-        detail = _no_solution_detail(verdict)
         report = {
             "command": "enumerate",
             "mode": mode,
@@ -508,27 +462,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _window_prediction(spec: ProblemSpec, horizon: int) -> tuple[int, int, int | None]:
-    """(truncation, expected count, window witness) for a length-`horizon` prefix set.
+def _window_prediction(st: Structure, horizon: int) -> tuple[int, int | None]:
+    """(expected count, window witness) for a length-`horizon` prefix set cut by st.truncation.
 
     The prediction is exact for the constraint window f[0..horizon-2]: a
     later divisibility witness is invisible to prefixes of this length.
     """
-    d = spec.d
-    cut = truncation_depth(spec)
-    witness = None
-    if d > 1:
+    if st.d > 1:  # at d == 1 every term passes; reading none keeps a short support usable
         for n in range(horizon - 1):
-            if spec.forcing.term(n).value % d != 0:
-                witness = n
-                break
-    if witness is not None:
-        return cut, 0, witness
-    if d == 1:
-        return cut, split_modulus(factorize(spec.m), spec.b).m1, None
-    mp = spec.m // d
-    m1p = split_modulus(factorize(mp), spec.b // d).m1
-    return cut, m1p * d ** (horizon - cut), None
+            if st.spec.forcing.term(n).value % st.d != 0:
+                return 0, n
+    return st.psplit.m1 * st.d ** (horizon - st.truncation), None
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
@@ -538,7 +482,9 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     if horizon < 2:
         print(f"error: --oracle-n must be >= 2, got {horizon}", file=sys.stderr)
         return EXIT_USAGE
-    cut, expected, witness = _window_prediction(spec, horizon)
+    st = structure(spec)
+    cut = st.truncation
+    expected, witness = _window_prediction(st, horizon)
     pfx = brute_force_prefixes(spec, horizon, budget=args.budget)
     observed = truncated_prefix_count(pfx, cut)
     agree = observed == expected
@@ -547,7 +493,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         "m": spec.m,
         "a": spec.a,
         "b": spec.b,
-        "d": spec.d,
+        "d": st.d,
         "horizon": horizon,
         "budget": args.budget,
         "truncation": cut,
@@ -632,7 +578,9 @@ def _audit_cell(
     def flag(kind: str, **detail: Any) -> None:
         out.append({"kind": kind, "m": m, "a": spec.a, "b": spec.b, "f": f, **detail})
 
-    cut, expected, _ = _window_prediction(spec, horizon)
+    st = structure(spec)
+    cut = st.truncation
+    expected, _ = _window_prediction(st, horizon)
     try:
         pfx = brute_force_prefixes(spec, horizon, budget=budget)
     except BudgetExceeded:
@@ -643,15 +591,14 @@ def _audit_cell(
     if observed != expected:
         flag("count", truncation=cut, expected=expected, observed=observed)
 
-    cls = classify_equation(spec)
-    if cls.kind == "none":
+    if st.classify().kind == "none":
         try:
-            general_solution(spec)
+            st.solution()
             flag("missing_refusal")
         except ValueError:
             pass
     else:
-        sol = general_solution(spec)
+        sol = st.solution()
         seq_len = horizon - sol.lookahead
         x10s = sorted({0, sol.free_initial_modulus - 1, rng.randrange(sol.free_initial_modulus)})
         if sol.lift_digit_bound > 1:
@@ -671,25 +618,23 @@ def _audit_cell(
                     flag("sequence", x10=x10, alpha=list(alpha), failing_index=idx)
         if pfx.sequences:
             y0v = min(pfx.sequences)[0]
-            icls = classify_initial_problem(spec, Residue(y0v, m))
+            icls = st.classify_initial(Residue(y0v, m))
             if icls.kind == "none":
                 flag("initial_classify", y0=y0v, verdict=icls.kind)
             else:
-                isol = solve_initial_problem(spec, Residue(y0v, m))
+                isol = st.solution(Residue(y0v, m))
                 iseq = isol.sequence(horizon - isol.lookahead)
                 ok, idx = verify_solution(spec, iseq, Residue(y0v, m))
                 row["initial_checks"] += 1
                 if not ok:
                     flag("initial_sequence", y0=y0v, failing_index=idx)
 
-    if spec.d == 1:
-        split = split_modulus(factorize(m), spec.b)
-        if split.m2 != 1:
-            required = compatibility_residue(split_problem(spec)).value
-            starts = {seq[0] % split.m2 for seq in pfx.sequences}
-            row["compat_checks"] += 1
-            if starts != {required}:
-                flag("compat", required=required, observed=sorted(starts))
+    if st.d == 1 and st.compatibility is not None:
+        required = st.compatibility.value
+        starts = {seq[0] % st.split.m2 for seq in pfx.sequences}
+        row["compat_checks"] += 1
+        if starts != {required}:
+            flag("compat", required=required, observed=sorted(starts))
 
 
 def _is_nilpotent(b: int, m: int) -> bool:
@@ -720,8 +665,8 @@ def run_uniqueness_sweep(m_max: int, forcing_trials: int, seed: int) -> dict:
             nilp = _is_nilpotent(b, m)
             for a in range(m):
                 cells += 1
-                spec = ProblemSpec(m, a, b, zero_f)
-                cls = classify_equation(spec)
+                st = structure(ProblemSpec(m, a, b, zero_f))
+                cls = st.classify()
                 p1 = cls.kind == "finite" and cls.count == 1
                 p2 = math.gcd(a, b, m) == 1 and split.m1 == 1
                 p3 = math.gcd(a, m) == 1 and nilp
@@ -734,7 +679,7 @@ def run_uniqueness_sweep(m_max: int, forcing_trials: int, seed: int) -> dict:
                 if not p1:
                     continue
                 unique_cells += 1
-                sol = general_solution(spec)
+                sol = st.solution()
                 if any(sol.value(n).value != 0 for n in range(3)):
                     discrepancies.append(
                         {"kind": "homogeneous_nonzero", "m": m, "a": a, "b": b}
@@ -742,7 +687,7 @@ def run_uniqueness_sweep(m_max: int, forcing_trials: int, seed: int) -> dict:
                 for _ in range(forcing_trials):
                     forcing = [rng.randrange(m) for _ in range(4)]
                     rspec = ProblemSpec(m, a, b, SequenceSpec.from_ints(forcing, m))
-                    rcls = classify_equation(rspec)
+                    rcls = structure(rspec).classify()
                     if not (rcls.kind == "finite" and rcls.count == 1):
                         discrepancies.append(
                             {"kind": "forced_unique", "m": m, "a": a, "b": b, "f": forcing}

@@ -3,23 +3,25 @@
 The split of Z_m by b separates the equation into an invertible-b part
 (solvable forward and backward from any start value) and a nilpotent-b part
 (one forced value per index, read off a finite window of future forcing
-terms). Everything else is bookkeeping: a gcd reduction handles the
-non-coprime case by recursing exactly once into the coprime machinery and
-re-attaching the lost information as per-index lift digits.
+terms). Everything else is bookkeeping, derived once per problem in a
+Structure: dividing through by d = gcd(a, b, m) gives an equation mod m/d
+that splits the same way, and the information lost by the division comes
+back as one free lift digit per index.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .crt import CrtIso, crt_iso, project, combine, split_modulus
+from .crt import CrtIso, SplitModuli, combine, crt_iso, split_modulus
 from .modring import ModulusMismatch, Residue, factorize, nilpotency_index
 from .problem import (
     InsufficientData,
     InvalidLiftDigit,
-    NonDivisibleForcing,
     ProblemSpec,
+    ReducedSpec,
     SequenceSpec,
     first_nondivisible_index,
     reduce_by_gcd,
@@ -52,22 +54,25 @@ class SplitProblem:
     ind_b2: int | None  # nilpotency index of b2; None when the m2 side is trivial
 
 
-def split_problem(spec: ProblemSpec) -> SplitProblem:
-    split = split_modulus(factorize(spec.m), spec.b)
-    iso = crt_iso(split)
+def _components(
+    problem: ProblemSpec | ReducedSpec, split: SplitModuli, ind_b2: int | None
+) -> SplitProblem:
+    """Project the coefficients and the forcing of an equation onto both sides of a split."""
 
-    def component(i: int) -> tuple[Residue, Residue, SequenceSpec]:
-        a_i = project(spec.A, i, split)
-        b_i = project(spec.B, i, split)
-        f_i = SequenceSpec(
-            tuple(project(t, i, split) for t in spec.forcing.terms), spec.forcing.period
+    def side(modulus: int) -> tuple[Residue, Residue, SequenceSpec]:
+        terms = tuple(Residue(t.value, modulus) for t in problem.forcing.terms)
+        return (
+            Residue(problem.a, modulus),
+            Residue(problem.b, modulus),
+            SequenceSpec(terms, problem.forcing.period),
         )
-        return a_i, b_i, f_i
 
-    a1, b1, f1 = component(1)
-    a2, b2, f2 = component(2)
-    ind_b2 = nilpotency_index(b2) if split.m2 != 1 else None
-    return SplitProblem(iso, a1, b1, f1, a2, b2, f2, ind_b2)
+    return SplitProblem(crt_iso(split), *side(split.m1), *side(split.m2), ind_b2)
+
+
+def split_problem(spec: ProblemSpec) -> SplitProblem:
+    st = structure(spec)
+    return _components(spec, st.split, st.ind_b2)
 
 
 def explicit_solution(a1: Residue, b1: Residue, x10: Residue, f1: SequenceSpec, n: int) -> Residue:
@@ -145,52 +150,14 @@ class InitialClassification:
     actual: Residue | None = None
 
 
-def classify_equation(spec: ProblemSpec) -> Classification:
-    d = spec.d
-    if d == 1:
-        split = split_modulus(factorize(spec.m), spec.b)
-        return Classification("finite", count=split.m1)
-    witness = first_nondivisible_index(spec.forcing, d)
-    if witness is not None:
-        return Classification("none", witness_index=witness)
-    mp = spec.m // d
-    psplit = split_modulus(factorize(mp), spec.b // d)
-    return Classification(
-        "infinite",
-        d=d,
-        m1_prime=psplit.m1,
-        support_qualified=spec.forcing.period is None,
-    )
-
-
-def classify_initial_problem(spec: ProblemSpec, y0: Residue) -> InitialClassification:
-    if y0.modulus != spec.m:
-        raise ModulusMismatch(f"initial value {y0} is not a residue mod {spec.m}")
-    if spec.d == 1:
-        sp = split_problem(spec)
-        if sp.iso.split.m2 == 1:
-            return InitialClassification("unique")
-        required = compatibility_residue(sp)
-        actual = project(y0, 2, sp.iso.split)
-        if actual == required:
-            return InitialClassification("unique")
-        return InitialClassification(
-            "none", reason="compatibility", required=required, actual=actual
+def refusal(verdict: Classification | InitialClassification) -> str:
+    """Why a problem whose verdict is "none" has no solution."""
+    if getattr(verdict, "reason", None) == "compatibility":
+        return (
+            f"no solution: start value must be {verdict.required.value} "
+            f"(mod {verdict.required.modulus}), got {verdict.actual.value}"
         )
-    try:
-        red = reduce_by_gcd(spec, y0)
-    except NonDivisibleForcing as exc:
-        return InitialClassification("none", reason="divisibility", witness_index=exc.witness)
-    if red.m == 1:
-        return InitialClassification("infinitely_many")
-    sp = split_problem(red.as_problem())
-    if sp.iso.split.m2 == 1:
-        return InitialClassification("infinitely_many")
-    required = compatibility_residue(sp)
-    actual = project(red.y0, 2, sp.iso.split)
-    if actual == required:
-        return InitialClassification("infinitely_many")
-    return InitialClassification("none", reason="compatibility", required=required, actual=actual)
+    return f"no solution: forcing term {verdict.witness_index} is not divisible by d"
 
 
 DigitLookup = Callable[[int], int]
@@ -239,118 +206,156 @@ class GeneralSolution:
         return [self.value(n, x10, alpha) for n in range(length)]
 
 
-def _free_solution_coprime(spec: ProblemSpec) -> GeneralSolution:
-    """General solution when gcd(a, b, m) == 1, in its three shapes."""
-    sp = split_problem(spec)
-    split = sp.iso.split
-    if split.m2 == 1:
-        # b invertible mod m: any start value extends uniquely both ways
-        def explicit_fn(n: int, x10: int, digit_at: DigitLookup) -> Residue:
-            return explicit_solution(spec.A, spec.B, Residue(x10, spec.m), spec.forcing, n)
+@dataclass(frozen=True)
+class Structure:
+    """The split and gcd-reduction data of one problem, which every verdict reads.
 
-        return GeneralSolution("explicit", spec.m, spec.m, 1, 0, (), explicit_fn)
-    if split.m1 == 1:
-        # b nilpotent mod m: the whole sequence is forced
-        def nilpotent_fn(n: int, x10: int, digit_at: DigitLookup) -> Residue:
-            return nilpotent_solution(spec.A, spec.B, spec.forcing, n)
+    d = gcd(a, b, m); split is m split by b; psplit is m' = m/d split by
+    b/d, the same object as split when d == 1. witness is the first prefix
+    index whose forcing term d does not divide. The nilpotency indices, the
+    reduced component equations and the compatibility residue are derived
+    on first use, so a caller that needs only the split never pays for them.
+    """
 
-        return GeneralSolution("nilpotent", spec.m, 1, 1, sp.ind_b2 - 1, (), nilpotent_fn)
+    spec: ProblemSpec
+    d: int
+    split: SplitModuli
+    psplit: SplitModuli
+    witness: int | None
 
-    def mixed_fn(n: int, x10: int, digit_at: DigitLookup) -> Residue:
-        part1 = explicit_solution(sp.a1, sp.b1, Residue(x10, split.m1), sp.f1, n)
-        part2 = nilpotent_solution(sp.a2, sp.b2, sp.f2, n)
-        return combine(sp.iso, part1, part2)
+    @cached_property
+    def ind_b2(self) -> int | None:
+        """Nilpotency index of b mod m2; None when the m2 side is trivial."""
+        m2 = self.split.m2
+        return nilpotency_index(Residue(self.spec.b, m2)) if m2 != 1 else None
 
-    return GeneralSolution("mixed", spec.m, split.m1, 1, sp.ind_b2 - 1, (), mixed_fn)
+    @cached_property
+    def ind_b2_prime(self) -> int | None:
+        """Nilpotency index of b/d mod m2'; None when the m2' side is trivial."""
+        m2 = self.psplit.m2
+        return nilpotency_index(Residue(self.spec.b // self.d, m2)) if m2 != 1 else None
+
+    @property
+    def truncation(self) -> int:
+        """Trailing positions of a length-N constrained prefix left unpinned.
+
+        Constraints n = 0..N-2 force the nilpotent-side value at position n
+        only when the whole window n..n+ind'-1 fits, so the last ind'
+        positions stay partially free; with a trivial nilpotent side nothing
+        is free. This is the right amount to cut before comparing prefix
+        counts against the solution-set cardinalities of the infinite problem.
+        """
+        return self.ind_b2_prime or 0
+
+    @property
+    def lookahead(self) -> int:
+        """How many forcing terms past index n the evaluator reads."""
+        return max(self.truncation - 1, 0)
+
+    @property
+    def kind(self) -> str:
+        if self.d > 1:
+            return "lifted"
+        if self.split.m2 == 1:
+            return "explicit"
+        return "nilpotent" if self.split.m1 == 1 else "mixed"
+
+    @cached_property
+    def parts(self) -> SplitProblem:
+        """The component equations of the problem divided by d; needs witness None."""
+        reduced = self.spec if self.d == 1 else reduce_by_gcd(self.spec)
+        return _components(reduced, self.psplit, self.ind_b2_prime)
+
+    @cached_property
+    def compatibility(self) -> Residue | None:
+        """The start value mod m2' that the nilpotent side forces; None when that side is trivial.
+
+        Needs witness None. Raises InsufficientLookahead when the forcing
+        support is too short to decide it.
+        """
+        return compatibility_residue(self.parts) if self.psplit.m2 != 1 else None
+
+    def classify(self) -> Classification:
+        if self.witness is not None:
+            return Classification("none", witness_index=self.witness)
+        if self.d == 1:
+            return Classification("finite", count=self.split.m1)
+        return Classification(
+            "infinite",
+            d=self.d,
+            m1_prime=self.psplit.m1,
+            support_qualified=self.spec.forcing.period is None,
+        )
+
+    def classify_initial(self, y0: Residue) -> InitialClassification:
+        if y0.modulus != self.spec.m:
+            raise ModulusMismatch(f"initial value {y0} is not a residue mod {self.spec.m}")
+        if self.witness is not None:
+            return InitialClassification(
+                "none", reason="divisibility", witness_index=self.witness
+            )
+        kind = "unique" if self.d == 1 else "infinitely_many"
+        required = self.compatibility
+        if required is None or y0.value % required.modulus == required.value:
+            return InitialClassification(kind)
+        actual = Residue(y0.value, required.modulus)
+        return InitialClassification(
+            "none", reason="compatibility", required=required, actual=actual
+        )
+
+    def solution(self, y0: Residue | None = None) -> GeneralSolution:
+        """Every solution, free or pinned at x[0] = y0; raises ValueError when there are none.
+
+        x[n] is the CRT of the explicit side mod m1' and the nilpotent side
+        mod m2', skipping a side of modulus 1, plus alpha[n]*m' when d > 1.
+        """
+        verdict = self.classify() if y0 is None else self.classify_initial(y0)
+        if verdict.kind == "none":
+            raise ValueError(refusal(verdict))
+        split, sp, m, d = self.psplit, self.parts, self.spec.m, self.d
+        zero = Residue(0, 1)
+        # a pinned solution is evaluated at x10 == 0; its start residue mod m1' stands in
+        pin = 0 if y0 is None else y0.value % split.m1
+
+        def value_fn(n: int, x10: int, digit_at: DigitLookup) -> Residue:
+            x1 = zero
+            if split.m1 > 1:
+                x1 = explicit_solution(sp.a1, sp.b1, Residue(x10 + pin, split.m1), sp.f1, n)
+            x2 = nilpotent_solution(sp.a2, sp.b2, sp.f2, n) if split.m2 > 1 else zero
+            x = combine(sp.iso, x1, x2)
+            return Residue(x.value + digit_at(n) * split.m, m) if d > 1 else x
+
+        fixed = ((0, y0.value // split.m),) if y0 is not None and d > 1 else ()
+        free = split.m1 if y0 is None else 1
+        return GeneralSolution(self.kind, m, free, d, self.lookahead, fixed, value_fn)
+
+
+def structure(spec: ProblemSpec) -> Structure:
+    """Derive the split of m by b, the gcd d and the split of m/d by b/d."""
+    d = spec.d
+    split = split_modulus(factorize(spec.m), spec.b)
+    psplit = split if d == 1 else split_modulus(factorize(spec.m // d), spec.b // d)
+    return Structure(spec, d, split, psplit, first_nondivisible_index(spec.forcing, d))
+
+
+def classify_equation(spec: ProblemSpec) -> Classification:
+    return structure(spec).classify()
+
+
+def classify_initial_problem(spec: ProblemSpec, y0: Residue) -> InitialClassification:
+    return structure(spec).classify_initial(y0)
 
 
 def general_solution(spec: ProblemSpec) -> GeneralSolution:
     """Every solution of the free equation; raises ValueError if there are none."""
-    cls = classify_equation(spec)
-    if cls.kind == "none":
-        raise ValueError(
-            f"equation has no solutions: forcing term {cls.witness_index} "
-            f"is not divisible by d={spec.d}"
-        )
-    if cls.kind == "finite":
-        return _free_solution_coprime(spec)
-    red = reduce_by_gcd(spec)
-    mp = red.m
-    if mp == 1:
-        # d == m: the reduced equation lives in the null ring, every digit choice solves
-        def digits_fn(n: int, x10: int, digit_at: DigitLookup) -> Residue:
-            return Residue(digit_at(n), spec.m)
-
-        return GeneralSolution("lifted", spec.m, 1, red.d, 0, (), digits_fn)
-    inner = _free_solution_coprime(red.as_problem())
-
-    def lifted_fn(n: int, x10: int, digit_at: DigitLookup) -> Residue:
-        xp = inner._value_fn(n, x10, digit_at)
-        return Residue(xp.value + digit_at(n) * mp, spec.m)
-
-    return GeneralSolution(
-        "lifted", spec.m, inner.free_initial_modulus, red.d, inner.lookahead, (), lifted_fn
-    )
+    return structure(spec).solution()
 
 
 def solve_initial_problem(spec: ProblemSpec, y0: Residue) -> GeneralSolution:
     """Every solution pinned at x[0] = y0; raises ValueError when there are none."""
-    cls = classify_initial_problem(spec, y0)
-    if cls.kind == "none":
-        if cls.reason == "divisibility":
-            raise ValueError(
-                f"no solution: forcing term {cls.witness_index} is not divisible by d={spec.d}"
-            )
-        raise ValueError(
-            f"no solution: start value must satisfy x[0] = {cls.required.value} "
-            f"(mod {cls.required.modulus}), got {cls.actual.value}"
-        )
-    if cls.kind == "unique":
-        inner = _free_solution_coprime(spec)
-        pin = y0.value % inner.free_initial_modulus
-
-        def pinned_fn(n: int, x10: int, digit_at: DigitLookup) -> Residue:
-            return inner._value_fn(n, pin, digit_at)
-
-        return GeneralSolution(inner.kind, spec.m, 1, 1, inner.lookahead, (), pinned_fn)
-    red = reduce_by_gcd(spec, y0)
-    mp = red.m
-    alpha0 = y0.value // mp  # the digit index 0 must take so that x[0] == y0
-    if mp == 1:
-        def digits_fn(n: int, x10: int, digit_at: DigitLookup) -> Residue:
-            return Residue(digit_at(n), spec.m)
-
-        return GeneralSolution("lifted", spec.m, 1, red.d, 0, ((0, alpha0),), digits_fn)
-    inner = solve_initial_problem(red.as_problem(), red.y0)
-
-    def lifted_fn(n: int, x10: int, digit_at: DigitLookup) -> Residue:
-        xp = inner._value_fn(n, 0, digit_at)
-        return Residue(xp.value + digit_at(n) * mp, spec.m)
-
-    return GeneralSolution(
-        "lifted", spec.m, 1, red.d, inner.lookahead, ((0, alpha0),), lifted_fn
-    )
+    return structure(spec).solution(y0)
 
 
 def truncation_depth(spec: ProblemSpec) -> int:
-    """Trailing positions of a length-N constrained prefix left unpinned.
-
-    Constraints n = 0..N-2 force the nilpotent-side value at position n only
-    when the whole window n..n+ind-1 fits, so the last ind positions stay
-    partially free; with a trivial nilpotent side nothing is free. This is
-    the right amount to cut before comparing prefix counts against the
-    solution-set cardinalities of the infinite problem.
-    """
-    d = spec.d
-    if d == 1:
-        split = split_modulus(factorize(spec.m), spec.b)
-        if split.m2 == 1:
-            return 0
-        return nilpotency_index(Residue(spec.b, split.m2))
-    mp = spec.m // d
-    if mp == 1:
-        return 0
-    psplit = split_modulus(factorize(mp), (spec.b // d) % mp)
-    if psplit.m2 == 1:
-        return 0
-    return nilpotency_index(Residue(spec.b // d, psplit.m2))
+    """See Structure.truncation."""
+    return structure(spec).truncation

@@ -4,60 +4,23 @@ Classify, solve in closed form, enumerate, and brute-force-check equations
 b*x[n+1] = a*x[n] + f[n] (mod m), with or without a pinned start value.
 """
 
-from .crt import CrtIso, SplitModuli, crt_iso, project, combine, split_modulus
-from .modring import (
-    Factorization,
-    InvalidModulus,
-    ModulusMismatch,
-    NotInvertible,
-    NotNilpotent,
-    Residue,
-    extended_gcd,
-    factorize,
-    gcd3,
-    nilpotency_index,
-)
-from .oracle import (
-    BudgetExceeded,
-    PrefixSet,
-    brute_force_prefixes,
-    step_solutions,
-    truncated_prefix_count,
-    verify_solution,
-)
-from .problem import (
-    InsufficientData,
-    InvalidLiftDigit,
-    NonDivisibleForcing,
-    ProblemSpec,
-    ReducedSpec,
-    SequenceSpec,
-    first_nondivisible_index,
-    lift_solution,
-    reduce_by_gcd,
-)
+from .modring import InvalidModulus, ModulusMismatch, Residue
+from .oracle import BudgetExceeded, brute_force_prefixes, verify_solution
+from .problem import InsufficientData, InvalidLiftDigit, ProblemSpec, SequenceSpec
 from .solver import (
     Classification,
     GeneralSolution,
     InitialClassification,
     InsufficientLookahead,
-    SplitProblem,
     classify_equation,
     classify_initial_problem,
-    compatibility_residue,
-    explicit_solution,
     general_solution,
-    nilpotent_solution,
     solve_initial_problem,
-    split_problem,
-    truncation_depth,
 )
 
 __all__ = [
     "BudgetExceeded",
     "Classification",
-    "CrtIso",
-    "Factorization",
     "GeneralSolution",
     "InitialClassification",
     "InsufficientData",
@@ -65,39 +28,14 @@ __all__ = [
     "InvalidLiftDigit",
     "InvalidModulus",
     "ModulusMismatch",
-    "NonDivisibleForcing",
-    "NotInvertible",
-    "NotNilpotent",
-    "PrefixSet",
     "ProblemSpec",
-    "ReducedSpec",
     "Residue",
     "SequenceSpec",
-    "SplitModuli",
-    "SplitProblem",
     "brute_force_prefixes",
     "classify_equation",
     "classify_initial_problem",
-    "compatibility_residue",
-    "crt_iso",
-    "explicit_solution",
-    "extended_gcd",
-    "factorize",
-    "first_nondivisible_index",
-    "gcd3",
     "general_solution",
-    "lift_solution",
-    "nilpotency_index",
-    "nilpotent_solution",
-    "project",
-    "combine",
-    "reduce_by_gcd",
     "solve_initial_problem",
-    "split_modulus",
-    "split_problem",
-    "step_solutions",
-    "truncated_prefix_count",
-    "truncation_depth",
     "verify_solution",
 ]
 

@@ -10,13 +10,16 @@ periodicity (f[n+p] = f[n] for n >= len(f)-p), y0 pins the start value,
 horizon sets the default report depth (8). Unknown fields are rejected.
 
 Exit codes: 0 success, 1 no solution / verification failure / sweep
-discrepancy, 2 usage or malformed input, 3 enumeration budget exceeded.
+discrepancy, 2 usage or malformed input, 3 enumeration budget exceeded,
+4 undecidable on the given support (classify --y0 whose start condition
+needs forcing terms past an aperiodic prefix).
 Output is byte-identical across runs for fixed inputs and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -25,27 +28,28 @@ from dataclasses import dataclass
 from typing import Any
 
 from .crt import split_modulus
-from .modring import (
-    InvalidModulus,
-    ModulusMismatch,
-    NotNilpotent,
-    Residue,
-    factorize,
-    nilpotency_index,
-)
+from .modring import NotNilpotent, Residue, factorize, nilpotency_index
 from .oracle import (
     BudgetExceeded,
     brute_force_prefixes,
     truncated_prefix_count,
     verify_solution,
 )
-from .problem import InsufficientData, InvalidLiftDigit, ProblemSpec, SequenceSpec
-from .solver import Classification, InsufficientLookahead, Structure, refusal, structure
+from .problem import InsufficientData, ProblemSpec, SequenceSpec
+from .solver import (
+    Classification,
+    GeneralSolution,
+    InsufficientLookahead,
+    Structure,
+    refusal,
+    structure,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_UNDECIDABLE = 4
 
 MAX_MODULUS = 2**32
 MAX_INT = 2**63
@@ -168,20 +172,32 @@ def _verdict_dict(st: Structure) -> tuple[dict, Classification]:
     return out, cls
 
 
+def _needs(exc: InsufficientLookahead) -> list[int]:
+    """First and last forcing index that an undecidable start condition reads."""
+    return [exc.index, exc.index + exc.window - 1]
+
+
 def _compatibility_dict(st: Structure) -> dict | None:
     """The start-value condition over m2', if the problem has one."""
-    try:
-        req = st.compatibility if st.witness is None else None
-    except InsufficientLookahead:
+    if st.witness is not None:
         return None
+    try:
+        req = st.compatibility
+    except InsufficientLookahead as exc:
+        return {"modulus": st.psplit.m2, "required": None, "needs_forcing_terms": _needs(exc)}
     if req is None:
         return None
     return {"modulus": req.modulus, "required": req.value}
 
 
 def _initial_dict(st: Structure, y0: int) -> dict:
-    icls = st.classify_initial(Residue(y0, st.spec.m))
-    out: dict[str, Any] = {"y0": y0 % st.spec.m, "kind": icls.kind}
+    out: dict[str, Any] = {"y0": y0 % st.spec.m}
+    try:
+        icls = st.classify_initial(Residue(y0, st.spec.m))
+    except InsufficientLookahead as exc:
+        out.update(kind="undecidable", needs_forcing_terms=_needs(exc))
+        return out
+    out["kind"] = icls.kind
     if icls.kind == "none":
         out["reason"] = icls.reason
         if icls.reason == "divisibility":
@@ -203,6 +219,10 @@ def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
 
 def _kv(label: str, value: Any) -> str:
     return f"{label:<22}{value}"
+
+
+def _undecidable_text(needs: list[int]) -> str:
+    return f"undecidable: needs f[{needs[0]}..{needs[1]}]"
 
 
 def _freedom_text(sol) -> str:
@@ -259,17 +279,20 @@ def cmd_classify(args: argparse.Namespace) -> int:
         )
     if cls.support_qualified:
         lines.append(_kv("support", "qualified: certified only on the provided prefix"))
-    if report["compatibility"] is not None:
-        comp = report["compatibility"]
-        lines.append(
-            _kv(
-                "start condition",
-                f"solvable with pinned start iff x[0] = {comp['required']} (mod {comp['modulus']})",
+    comp = report["compatibility"]
+    if comp is not None:
+        if comp["required"] is None:
+            condition = _undecidable_text(comp["needs_forcing_terms"])
+        else:
+            condition = (
+                f"solvable with pinned start iff x[0] = {comp['required']} (mod {comp['modulus']})"
             )
-        )
+        lines.append(_kv("start condition", condition))
     if report["initial"] is not None:
         ini = report["initial"]
-        if ini["kind"] == "none":
+        if ini["kind"] == "undecidable":
+            detail = _undecidable_text(ini["needs_forcing_terms"])
+        elif ini["kind"] == "none":
             if ini["reason"] == "divisibility":
                 detail = f"none (forcing term {ini['witness_index']} not divisible by d)"
             else:
@@ -284,7 +307,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         lines.append(_kv(f"initial x[0]={ini['y0']}", detail))
     _emit(report, args.format, lines)
     headline = report["initial"]["kind"] if report["initial"] is not None else cls.kind
-    return EXIT_FAIL if headline == "none" else EXIT_OK
+    return {"none": EXIT_FAIL, "undecidable": EXIT_UNDECIDABLE}.get(headline, EXIT_OK)
 
 
 def _build_solution(st: Structure, y0: int | None):
@@ -300,6 +323,13 @@ def _build_solution(st: Structure, y0: int | None):
     return mode, st.solution(start), None
 
 
+def _last_index(sol: GeneralSolution, horizon: int) -> int:
+    """The last index whose value reads no forcing term past index `horizon`."""
+    if horizon < sol.lookahead:
+        raise ValueError(f"horizon {horizon} is smaller than the lookahead {sol.lookahead}")
+    return horizon - sol.lookahead
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     spec = document_to_spec(doc)
@@ -312,13 +342,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_FAIL
     alpha = args.alpha if args.alpha is not None else []
     x10 = args.x10 if args.x10 is not None else 0
-    last = horizon - sol.lookahead
-    if last < 0:
-        print(
-            f"error: horizon {horizon} is smaller than the lookahead {sol.lookahead}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    last = _last_index(sol, horizon)
     values = [sol.value(n, x10, alpha).value for n in range(last + 1)]
     report = {
         "command": "solve",
@@ -355,8 +379,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     horizon = args.horizon if args.horizon is not None else doc.horizon
     cap = args.max
     if cap < 1:
-        print(f"error: --max must be >= 1, got {cap}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--max must be >= 1, got {cap}")
     mode, sol, detail = _build_solution(structure(spec), y0)
     if sol is None:
         report = {
@@ -368,13 +391,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         }
         _emit(report, args.format, [detail, "0 rows"])
         return EXIT_FAIL
-    last = horizon - sol.lookahead
-    if last < 0:
-        print(
-            f"error: horizon {horizon} is smaller than the lookahead {sol.lookahead}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    last = _last_index(sol, horizon)
     fixed = dict(sol.fixed_digits)
     free_idx = [n for n in range(last + 1) if n not in fixed] if sol.lift_digit_bound > 1 else []
     block = sol.lift_digit_bound ** len(free_idx)
@@ -432,8 +449,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     y0 = args.y0 if args.y0 is not None else doc.y0
     candidate = args.candidate
     if len(candidate) < 2:
-        print("error: candidate needs at least 2 values", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("candidate needs at least 2 values")
     # a candidate longer than the forcing support raises InsufficientData -> exit 2
     seq = [Residue(v, spec.m) for v in candidate]
     pinned = Residue(y0, spec.m) if y0 is not None else None
@@ -468,7 +484,7 @@ def _window_prediction(st: Structure, horizon: int) -> tuple[int, int | None]:
     The prediction is exact for the constraint window f[0..horizon-2]: a
     later divisibility witness is invisible to prefixes of this length.
     """
-    if st.d > 1:  # at d == 1 every term passes; reading none keeps a short support usable
+    if st.d > 1:  # at d == 1 no term can be a witness, so none is read
         for n in range(horizon - 1):
             if st.spec.forcing.term(n).value % st.d != 0:
                 return 0, n
@@ -480,10 +496,11 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     spec = document_to_spec(doc)
     horizon = args.oracle_n
     if horizon < 2:
-        print(f"error: --oracle-n must be >= 2, got {horizon}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--oracle-n must be >= 2, got {horizon}")
     st = structure(spec)
     cut = st.truncation
+    if horizon <= cut:
+        raise ValueError(f"--oracle-n {horizon} must exceed the truncation depth {cut}")
     expected, witness = _window_prediction(st, horizon)
     pfx = brute_force_prefixes(spec, horizon, budget=args.budget)
     observed = truncated_prefix_count(pfx, cut)
@@ -763,6 +780,7 @@ def _csv_ints(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zmdiff",
@@ -828,19 +846,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InsufficientData, InsufficientLookahead) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InvalidLiftDigit, InvalidModulus, ModulusMismatch, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, InsufficientData, InsufficientLookahead, OSError) as exc:
+        # malformed documents and arguments (DocumentError, InvalidLiftDigit, ...
+        # are ValueErrors), unreadable files, and forcing read past its support
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -256,9 +256,9 @@ class Structure:
     def kind(self) -> str:
         if self.d > 1:
             return "lifted"
-        if self.split.m2 == 1:
+        if self.psplit.m2 == 1:
             return "explicit"
-        return "nilpotent" if self.split.m1 == 1 else "mixed"
+        return "nilpotent" if self.psplit.m1 == 1 else "mixed"
 
     @cached_property
     def parts(self) -> SplitProblem:

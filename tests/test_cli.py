@@ -19,6 +19,7 @@ EX2 = {"m": 9, "a": 2, "b": 3, "f": [1], "f_period": 1}
 EX3_EVEN = {"m": 12, "a": 2, "b": 6, "f": [2, 4, 0], "f_period": 3, "horizon": 6}
 EX3_ODD = {"m": 12, "a": 2, "b": 6, "f": [1, 2, 0], "f_period": 3}
 EX4 = {"m": 12, "a": 6, "b": 9, "f": [3, 0, 6], "f_period": 3, "horizon": 6}
+SHORT_SUPPORT = {"m": 8, "a": 1, "b": 2, "f": [1]}  # the start condition reads f[0..2]
 
 
 @pytest.fixture
@@ -107,6 +108,23 @@ class TestClassifyCommand:
         assert report["verdict"] == {"kind": "infinite", "d": 3, "m1_prime": 4}
         assert (report["m1"], report["m2"]) == (4, 3)
         assert report["support_qualified"] is False
+
+    def test_undecidable_start_condition_text(self, capsys, doc_path):
+        path = doc_path(SHORT_SUPPORT)
+        assert main(["classify", "--input", path]) == 0
+        out = capsys.readouterr().out
+        assert "start condition       undecidable: needs f[0..2]" in out
+        assert main(["classify", "--input", path, "--y0", "3"]) == 4
+        assert "initial x[0]=3        undecidable: needs f[0..2]" in capsys.readouterr().out
+
+    def test_undecidable_start_condition_json(self, capsys, doc_path):
+        path = doc_path(SHORT_SUPPORT)
+        assert main(["classify", "--input", path, "--y0", "3", "--format", "json"]) == 4
+        report = json.loads(capsys.readouterr().out)
+        assert report["compatibility"] == {"modulus": 8, "required": None,
+                                           "needs_forcing_terms": [0, 2]}
+        assert report["initial"] == {"y0": 3, "kind": "undecidable",
+                                     "needs_forcing_terms": [0, 2]}
 
     def test_malformed_document(self, capsys, doc_path):
         path = doc_path({"m": 6, "a": 2, "b": 3, "f": [1], "bogus": 1})
@@ -224,6 +242,15 @@ class TestOracleCheckCommand:
         assert main(["oracle-check", "--input", doc_path(EX3_ODD), "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["expected"] == report["observed"] == 0
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_prefix_must_exceed_truncation(self, capsys, doc_path, fmt):
+        path = doc_path({"m": 2500, "a": 3, "b": 10, "f": [7, 1], "f_period": 2})
+        assert main(["oracle-check", "--input", path, "--oracle-n", "4", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --oracle-n 4 must exceed the truncation depth 4\n"
+        assert captured.out == ""
+        assert main(["oracle-check", "--input", path, "--oracle-n", "5", "--format", fmt]) == 0
 
     def test_budget_exceeded(self, capsys, doc_path):
         assert main(["oracle-check", "--input", doc_path(EX1), "--budget", "2"]) == 3

@@ -19,7 +19,9 @@ EX2 = {"m": 9, "a": 2, "b": 3, "f": [1], "f_period": 1}
 EX3_EVEN = {"m": 12, "a": 2, "b": 6, "f": [2, 4, 0], "f_period": 3, "horizon": 6}
 EX3_ODD = {"m": 12, "a": 2, "b": 6, "f": [1, 2, 0], "f_period": 3}
 EX4 = {"m": 12, "a": 6, "b": 9, "f": [3, 0, 6], "f_period": 3, "horizon": 6}
-SHORT_SUPPORT = {"m": 8, "a": 1, "b": 2, "f": [1]}  # the start condition reads f[0..2]
+# the start condition of both reads f[0..2], over m2 = 8 and m2' = 8
+SHORT_SUPPORT = {"m": 8, "a": 1, "b": 2, "f": [1]}
+SHORT_SUPPORT_D2 = {"m": 16, "a": 2, "b": 4, "f": [2]}
 
 
 @pytest.fixture
@@ -109,16 +111,18 @@ class TestClassifyCommand:
         assert (report["m1"], report["m2"]) == (4, 3)
         assert report["support_qualified"] is False
 
-    def test_undecidable_start_condition_text(self, capsys, doc_path):
-        path = doc_path(SHORT_SUPPORT)
+    @pytest.mark.parametrize("doc", [SHORT_SUPPORT, SHORT_SUPPORT_D2])
+    def test_undecidable_start_condition_text(self, capsys, doc_path, doc):
+        path = doc_path(doc)
         assert main(["classify", "--input", path]) == 0
         out = capsys.readouterr().out
         assert "start condition       undecidable: needs f[0..2]" in out
         assert main(["classify", "--input", path, "--y0", "3"]) == 4
         assert "initial x[0]=3        undecidable: needs f[0..2]" in capsys.readouterr().out
 
-    def test_undecidable_start_condition_json(self, capsys, doc_path):
-        path = doc_path(SHORT_SUPPORT)
+    @pytest.mark.parametrize("doc", [SHORT_SUPPORT, SHORT_SUPPORT_D2])
+    def test_undecidable_start_condition_json(self, capsys, doc_path, doc):
+        path = doc_path(doc)
         assert main(["classify", "--input", path, "--y0", "3", "--format", "json"]) == 4
         report = json.loads(capsys.readouterr().out)
         assert report["compatibility"] == {"modulus": 8, "required": None,

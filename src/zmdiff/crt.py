@@ -74,9 +74,4 @@ def combine(iso: CrtIso, t1: Residue, t2: Residue) -> Residue:
         raise ModulusMismatch(
             f"expected residues mod {sp.m1} and mod {sp.m2}, got {t1} and {t2}"
         )
-    # a trivial side leaves the other side's residue, already mod m, unchanged
-    if sp.m1 == 1:
-        return t2
-    if sp.m2 == 1:
-        return t1
     return Residue(t1.value * iso.e1 * sp.m2 + t2.value * iso.e2 * sp.m1, sp.m)

@@ -11,20 +11,18 @@ back as one free lift digit per index.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .crt import CrtIso, SplitModuli, combine, crt_iso, split_modulus
+from .crt import CrtIso, SplitModuli, crt_iso, split_modulus
 from .modring import ModulusMismatch, Residue, factorize, nilpotency_index
 from .problem import (
     InsufficientData,
     InvalidLiftDigit,
     ProblemSpec,
-    ReducedSpec,
     SequenceSpec,
     first_nondivisible_index,
-    reduce_by_gcd,
 )
 
 
@@ -54,9 +52,7 @@ class SplitProblem:
     ind_b2: int | None  # nilpotency index of b2; None when the m2 side is trivial
 
 
-def _components(
-    problem: ProblemSpec | ReducedSpec, split: SplitModuli, ind_b2: int | None
-) -> SplitProblem:
+def _components(problem: ProblemSpec, split: SplitModuli, ind_b2: int | None) -> SplitProblem:
     """Project the coefficients and the forcing of an equation onto both sides of a split."""
 
     def side(modulus: int) -> tuple[Residue, Residue, SequenceSpec]:
@@ -160,9 +156,6 @@ def refusal(verdict: Classification | InitialClassification) -> str:
     return f"no solution: forcing term {verdict.witness_index} is not divisible by d"
 
 
-DigitLookup = Callable[[int], int]
-
-
 @dataclass(frozen=True)
 class GeneralSolution:
     """Every solution of a (solvable) problem, as an evaluator over free parameters.
@@ -170,8 +163,9 @@ class GeneralSolution:
     value(n, x10, alpha) returns x[n] mod modulus, where x10 ranges over
     [0, free_initial_modulus) and alpha[i] supplies the lift digit for index
     i (missing digits default to 0; digits pinned by an initial condition
-    override the caller's). Evaluating index n consumes forcing terms up
-    through n + lookahead.
+    override the caller's). x[n] is Structure.reduced_value at n, started at
+    x10 plus the pinned start residue mod m1', plus alpha[n]*m' when d > 1.
+    Evaluating index n consumes forcing terms up through n + lookahead.
     """
 
     kind: str  # "explicit" | "nilpotent" | "mixed" | "lifted"
@@ -180,7 +174,8 @@ class GeneralSolution:
     lift_digit_bound: int
     lookahead: int
     fixed_digits: tuple[tuple[int, int], ...]
-    _value_fn: Callable[[int, int, DigitLookup], Residue] = field(repr=False)
+    _structure: Structure = field(repr=False)
+    _pin: int = field(repr=False)  # the pinned start residue mod m1'; 0 when free
 
     def value(self, n: int, x10: int = 0, alpha: Sequence[int] = ()) -> Residue:
         if n < 0:
@@ -189,18 +184,16 @@ class GeneralSolution:
             raise ValueError(
                 f"free initial residue {x10} not in [0, {self.free_initial_modulus})"
             )
-        pinned = dict(self.fixed_digits)
-        bound = self.lift_digit_bound
-
-        def digit_at(i: int) -> int:
-            if i in pinned:
-                return pinned[i]
-            digit = alpha[i] if i < len(alpha) else 0
-            if not 0 <= digit < bound:
-                raise InvalidLiftDigit(f"lift digit {digit} at index {i} not in [0, {bound})")
-            return digit
-
-        return self._value_fn(n, x10, digit_at)
+        st = self._structure
+        x = st.reduced_value(n, x10 + self._pin)
+        if st.d == 1:
+            return Residue(x, self.modulus)
+        digit = dict(self.fixed_digits).get(n)
+        if digit is None:
+            digit = alpha[n] if n < len(alpha) else 0
+            if not 0 <= digit < st.d:
+                raise InvalidLiftDigit(f"lift digit {digit} at index {n} not in [0, {st.d})")
+        return Residue(x + digit * st.psplit.m, self.modulus)
 
     def sequence(self, length: int, x10: int = 0, alpha: Sequence[int] = ()) -> list[Residue]:
         return [self.value(n, x10, alpha) for n in range(length)]
@@ -213,8 +206,8 @@ class Structure:
     d = gcd(a, b, m); split is m split by b; psplit is m' = m/d split by
     b/d, the same object as split when d == 1. witness is the first prefix
     index whose forcing term d does not divide. The nilpotency indices, the
-    reduced component equations and the compatibility residue are derived
-    on first use, so a caller that needs only the split never pays for them.
+    evaluator's constants and the compatibility residue are derived on
+    first use, so a caller that needs only the split never pays for them.
     """
 
     spec: ProblemSpec
@@ -261,10 +254,39 @@ class Structure:
         return "nilpotent" if self.psplit.m1 == 1 else "mixed"
 
     @cached_property
-    def parts(self) -> SplitProblem:
-        """The component equations of the problem divided by d; needs witness None."""
-        reduced = self.spec if self.d == 1 else reduce_by_gcd(self.spec)
-        return _components(reduced, self.psplit, self.ind_b2_prime)
+    def _kernel(self) -> tuple[int, int, tuple[int, ...], int, int]:
+        """a', b'^-1 mod m1', the weights w_s = -a'^-(s+1) b'^s mod m2' for s < ind'
+        and the CRT units u1, u2; pow(x, -1, 1) == 0 zeroes a trivial side's unit.
+        """
+        m1, m2 = self.psplit.m1, self.psplit.m2
+        a, b = self.spec.a // self.d, self.spec.b // self.d
+        ainv = pow(a, -1, m2)
+        weights = tuple(
+            -pow(ainv, s + 1, m2) * pow(b, s, m2) % m2 for s in range(self.truncation)
+        )
+        return a, pow(b, -1, m1), weights, m2 * pow(m2, -1, m1), m1 * pow(m1, -1, m2)
+
+    def reduced_value(self, n: int, x10: int) -> int:
+        """x'[n] mod m' of the equation divided by d, started at x10 mod m1'; needs witness None.
+
+        The m1' side steps x[k+1] = b'^-1 (a' x[k] + f'[k]) forward from x10, the
+        m2' side is the weighted sum of f'[n..n+ind'-1] (InsufficientLookahead
+        past the support), and the CRT units join them. f'[k] = f[k] / d.
+        """
+        a, binv, weights, u1, u2 = self._kernel
+        m1 = self.psplit.m1
+        term, d = self.spec.forcing.term, self.d
+        x1 = x10 % m1
+        if m1 > 1:
+            for k in range(n):
+                x1 = binv * (a * x1 + term(k).value // d) % m1
+        x2 = 0
+        try:
+            for s, w in enumerate(weights):
+                x2 += w * (term(n + s).value // d)
+        except InsufficientData:
+            raise InsufficientLookahead(n, len(weights)) from None
+        return (u1 * x1 + u2 * x2) % self.psplit.m
 
     @cached_property
     def compatibility(self) -> Residue | None:
@@ -273,7 +295,8 @@ class Structure:
         Needs witness None. Raises InsufficientLookahead when the forcing
         support is too short to decide it.
         """
-        return compatibility_residue(self.parts) if self.psplit.m2 != 1 else None
+        m2 = self.psplit.m2
+        return Residue(self.reduced_value(0, 0), m2) if m2 != 1 else None
 
     def classify(self) -> Classification:
         if self.witness is not None:
@@ -306,28 +329,18 @@ class Structure:
     def solution(self, y0: Residue | None = None) -> GeneralSolution:
         """Every solution, free or pinned at x[0] = y0; raises ValueError when there are none.
 
-        x[n] is the CRT of the explicit side mod m1' and the nilpotent side
-        mod m2', skipping a side of modulus 1, plus alpha[n]*m' when d > 1.
+        A pinned solution starts reduced_value at y0 mod m1' and, when d > 1,
+        pins the lift digit alpha[0] = y0 // m'.
         """
         verdict = self.classify() if y0 is None else self.classify_initial(y0)
         if verdict.kind == "none":
             raise ValueError(refusal(verdict))
-        split, sp, m, d = self.psplit, self.parts, self.spec.m, self.d
-        zero = Residue(0, 1)
-        # a pinned solution is evaluated at x10 == 0; its start residue mod m1' stands in
-        pin = 0 if y0 is None else y0.value % split.m1
-
-        def value_fn(n: int, x10: int, digit_at: DigitLookup) -> Residue:
-            x1 = zero
-            if split.m1 > 1:
-                x1 = explicit_solution(sp.a1, sp.b1, Residue(x10 + pin, split.m1), sp.f1, n)
-            x2 = nilpotent_solution(sp.a2, sp.b2, sp.f2, n) if split.m2 > 1 else zero
-            x = combine(sp.iso, x1, x2)
-            return Residue(x.value + digit_at(n) * split.m, m) if d > 1 else x
-
-        fixed = ((0, y0.value // split.m),) if y0 is not None and d > 1 else ()
-        free = split.m1 if y0 is None else 1
-        return GeneralSolution(self.kind, m, free, d, self.lookahead, fixed, value_fn)
+        m1, mp = self.psplit.m1, self.psplit.m
+        fixed = ((0, y0.value // mp),) if y0 is not None and self.d > 1 else ()
+        free, pin = (m1, 0) if y0 is None else (1, y0.value % m1)
+        return GeneralSolution(
+            self.kind, self.spec.m, free, self.d, self.lookahead, fixed, self, pin
+        )
 
 
 def structure(spec: ProblemSpec) -> Structure:

@@ -11,8 +11,8 @@ horizon sets the default report depth (8). Unknown fields are rejected.
 
 Exit codes: 0 success, 1 no solution / verification failure / sweep
 discrepancy, 2 usage or malformed input, 3 enumeration budget exceeded,
-4 undecidable on the given support (classify --y0 whose start condition
-needs forcing terms past an aperiodic prefix).
+4 undecidable on the given support (the answer needs forcing terms past
+an aperiodic prefix).
 Output is byte-identical across runs for fixed inputs and seed.
 """
 
@@ -24,11 +24,10 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
-from .crt import split_modulus
-from .modring import NotNilpotent, Residue, factorize, nilpotency_index
+from .modring import NotNilpotent, Residue, nilpotency_index
 from .oracle import (
     BudgetExceeded,
     brute_force_prefixes,
@@ -41,7 +40,6 @@ from .solver import (
     GeneralSolution,
     InsufficientLookahead,
     Structure,
-    refusal,
     structure,
 )
 
@@ -245,14 +243,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     st = structure(document_to_spec(doc))
     spec = st.spec
-    y0 = args.y0 if args.y0 is not None else doc.y0
     report = {"command": "classify"}
     report.update(_structure_report(st))
     verdict, cls = _verdict_dict(st)
     report["verdict"] = verdict
     report["support_qualified"] = cls.support_qualified
     report["compatibility"] = _compatibility_dict(st)
-    report["initial"] = _initial_dict(st, y0) if y0 is not None else None
+    report["initial"] = _initial_dict(st, doc.y0) if doc.y0 is not None else None
 
     lines = [
         _kv("equation", f"{spec.b}*x[n+1] = {spec.a}*x[n] + f[n]  (mod {spec.m})"),
@@ -312,15 +309,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def _build_solution(st: Structure, y0: int | None):
     """(mode, solution, None), or (mode, None, why there is no solution)."""
-    if y0 is None:
-        verdict, start = st.classify(), None
-    else:
-        start = Residue(y0, st.spec.m)
-        verdict = st.classify_initial(start)
-    mode = "equation" if start is None else "initial"
-    if verdict.kind == "none":
-        return mode, None, refusal(verdict)
-    return mode, st.solution(start), None
+    mode = "equation" if y0 is None else "initial"
+    try:
+        return mode, st.solution(None if y0 is None else Residue(y0, st.spec.m)), None
+    except ValueError as exc:  # Structure.solution's refusal
+        return mode, None, str(exc)
 
 
 def _last_index(sol: GeneralSolution, horizon: int) -> int:
@@ -333,17 +326,13 @@ def _last_index(sol: GeneralSolution, horizon: int) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     spec = document_to_spec(doc)
-    y0 = args.y0 if args.y0 is not None else doc.y0
-    horizon = args.horizon if args.horizon is not None else doc.horizon
-    mode, sol, detail = _build_solution(structure(spec), y0)
+    mode, sol, detail = _build_solution(structure(spec), doc.y0)
     if sol is None:
         report = {"command": "solve", "mode": mode, "verdict": "none", "detail": detail}
         _emit(report, args.format, [detail])
         return EXIT_FAIL
-    alpha = args.alpha if args.alpha is not None else []
-    x10 = args.x10 if args.x10 is not None else 0
-    last = _last_index(sol, horizon)
-    values = [sol.value(n, x10, alpha).value for n in range(last + 1)]
+    last = _last_index(sol, doc.horizon)
+    values = [sol.value(n, args.x10, args.alpha).value for n in range(last + 1)]
     report = {
         "command": "solve",
         "mode": mode,
@@ -353,8 +342,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "lift_digit_bound": sol.lift_digit_bound,
         "lookahead": sol.lookahead,
         "fixed_digits": [list(p) for p in sol.fixed_digits],
-        "x10": x10,
-        "alpha": list(alpha),
+        "x10": args.x10,
+        "alpha": list(args.alpha),
         "first_index": 0,
         "last_index": last,
         "values": values,
@@ -364,7 +353,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _kv("solution kind", sol.kind),
         _kv("freedom", _freedom_text(sol)),
         _kv("lookahead", sol.lookahead),
-        _kv("parameters", f"x10={x10}, alpha={','.join(map(str, alpha)) or '-'}"),
+        _kv("parameters", f"x10={args.x10}, alpha={','.join(map(str, args.alpha)) or '-'}"),
     ]
     for n, v in enumerate(values):
         lines.append(_kv(f"x[{n}]", v))
@@ -375,12 +364,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     spec = document_to_spec(doc)
-    y0 = args.y0 if args.y0 is not None else doc.y0
-    horizon = args.horizon if args.horizon is not None else doc.horizon
     cap = args.max
     if cap < 1:
         raise ValueError(f"--max must be >= 1, got {cap}")
-    mode, sol, detail = _build_solution(structure(spec), y0)
+    mode, sol, detail = _build_solution(structure(spec), doc.y0)
     if sol is None:
         report = {
             "command": "enumerate",
@@ -391,7 +378,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         }
         _emit(report, args.format, [detail, "0 rows"])
         return EXIT_FAIL
-    last = _last_index(sol, horizon)
+    last = _last_index(sol, doc.horizon)
     fixed = dict(sol.fixed_digits)
     free_idx = [n for n in range(last + 1) if n not in fixed] if sol.lift_digit_bound > 1 else []
     block = sol.lift_digit_bound ** len(free_idx)
@@ -446,13 +433,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     spec = document_to_spec(doc)
-    y0 = args.y0 if args.y0 is not None else doc.y0
     candidate = args.candidate
     if len(candidate) < 2:
         raise ValueError("candidate needs at least 2 values")
-    # a candidate longer than the forcing support raises InsufficientData -> exit 2
+    # a candidate longer than the forcing support raises InsufficientData -> exit 4
     seq = [Residue(v, spec.m) for v in candidate]
-    pinned = Residue(y0, spec.m) if y0 is not None else None
+    pinned = Residue(doc.y0, spec.m) if doc.y0 is not None else None
     ok, idx = verify_solution(spec, seq, pinned)
     detail = "all transitions satisfied"
     if not ok:
@@ -484,10 +470,8 @@ def _window_prediction(st: Structure, horizon: int) -> tuple[int, int | None]:
     The prediction is exact for the constraint window f[0..horizon-2]: a
     later divisibility witness is invisible to prefixes of this length.
     """
-    if st.d > 1:  # at d == 1 no term can be a witness, so none is read
-        for n in range(horizon - 1):
-            if st.spec.forcing.term(n).value % st.d != 0:
-                return 0, n
+    if st.witness is not None and st.witness < horizon - 1:
+        return 0, st.witness
     return st.psplit.m1 * st.d ** (horizon - st.truncation), None
 
 
@@ -675,17 +659,15 @@ def run_uniqueness_sweep(m_max: int, forcing_trials: int, seed: int) -> dict:
     cells = 0
     unique_cells = 0
     for m in range(2, m_max + 1):
-        fact = factorize(m)
         zero_f = SequenceSpec.from_ints([0], m, period=1)
         for b in range(m):
-            split = split_modulus(fact, b)
             nilp = _is_nilpotent(b, m)
             for a in range(m):
                 cells += 1
                 st = structure(ProblemSpec(m, a, b, zero_f))
                 cls = st.classify()
                 p1 = cls.kind == "finite" and cls.count == 1
-                p2 = math.gcd(a, b, m) == 1 and split.m1 == 1
+                p2 = math.gcd(a, b, m) == 1 and st.split.m1 == 1
                 p3 = math.gcd(a, m) == 1 and nilp
                 if not (p1 == p2 == p3):
                     discrepancies.append(
@@ -768,7 +750,9 @@ def _load_document(args: argparse.Namespace) -> ProblemDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError("<document>", f"invalid JSON: {exc}") from None
-    return parse_document(data)
+    # --y0 and --horizon, on the commands that take them, override the document
+    given = {k: getattr(args, k, None) for k in ("y0", "horizon")}
+    return replace(parse_document(data), **{k: v for k, v in given.items() if v is not None})
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -801,8 +785,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="evaluate one solution over the horizon")
     add_common(p)
     p.add_argument("--y0", type=int, help="pin the start value (overrides the document)")
-    p.add_argument("--x10", type=int, help="free start parameter (default 0)")
-    p.add_argument("--alpha", type=_csv_ints, help="lift digits per index, comma-separated")
+    p.add_argument("--x10", type=int, default=0, help="free start parameter (default 0)")
+    p.add_argument("--alpha", type=_csv_ints, default=(),
+                   help="lift digits per index, comma-separated")
     p.add_argument("--horizon", type=int, help="report indices 0..horizon-lookahead")
     p.set_defaults(handler=cmd_solve)
 
@@ -849,9 +834,13 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, InsufficientData, InsufficientLookahead, OSError) as exc:
+    except (InsufficientData, InsufficientLookahead) as exc:
+        # a well-formed question whose answer reads forcing past an aperiodic prefix
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDABLE
+    except (ValueError, OSError) as exc:
         # malformed documents and arguments (DocumentError, InvalidLiftDigit, ...
-        # are ValueErrors), unreadable files, and forcing read past its support
+        # are ValueErrors) and unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -136,7 +136,9 @@ class InitialClassification:
 
     kind is "unique", "infinitely_many" or "none"; for "none", reason is
     "divisibility" (witness_index set) or "compatibility" (required/actual
-    set, both over the relevant nilpotent-side modulus).
+    set, both over the relevant nilpotent-side modulus). support_qualified
+    marks an "infinitely_many" whose divisibility check rested on a finite
+    aperiodic prefix.
     """
 
     kind: str
@@ -144,6 +146,7 @@ class InitialClassification:
     witness_index: int | None = None
     required: Residue | None = None
     actual: Residue | None = None
+    support_qualified: bool = False
 
 
 def refusal(verdict: Classification | InitialClassification) -> str:
@@ -261,9 +264,7 @@ class Structure:
         m1, m2 = self.psplit.m1, self.psplit.m2
         a, b = self.spec.a // self.d, self.spec.b // self.d
         ainv = pow(a, -1, m2)
-        weights = tuple(
-            -pow(ainv, s + 1, m2) * pow(b, s, m2) % m2 for s in range(self.truncation)
-        )
+        weights = tuple(-pow(ainv, s + 1, m2) * pow(b, s, m2) % m2 for s in range(self.truncation))
         return a, pow(b, -1, m1), weights, m2 * pow(m2, -1, m1), m1 * pow(m1, -1, m2)
 
     def reduced_value(self, n: int, x10: int) -> int:
@@ -318,9 +319,10 @@ class Structure:
                 "none", reason="divisibility", witness_index=self.witness
             )
         kind = "unique" if self.d == 1 else "infinitely_many"
+        qualified = self.d > 1 and self.spec.forcing.period is None
         required = self.compatibility
         if required is None or y0.value % required.modulus == required.value:
-            return InitialClassification(kind)
+            return InitialClassification(kind, support_qualified=qualified)
         actual = Residue(y0.value, required.modulus)
         return InitialClassification(
             "none", reason="compatibility", required=required, actual=actual

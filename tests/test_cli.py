@@ -224,7 +224,7 @@ class TestVerifyCommand:
 
     def test_beyond_forcing_support(self, doc_path):
         path = doc_path({"m": 6, "a": 2, "b": 3, "f": [1, 2]})
-        assert main(["verify", "--input", path, "4", "5", "0", "4"]) == 2
+        assert main(["verify", "--input", path, "4", "5", "0", "4"]) == 4
 
 
 class TestOracleCheckCommand:

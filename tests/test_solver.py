@@ -154,6 +154,21 @@ class TestClassifyInitialProblem:
         with pytest.raises(ModulusMismatch):
             classify_initial_problem(MIXED, Residue(1, 12))
 
+    def test_aperiodic_family_is_qualified(self):
+        # d = 2 divides every term of the prefix, which certifies nothing beyond it
+        cls = classify_initial_problem(spec_of(12, 2, 6, [2, 4, 0, 2]), Residue(2, 12))
+        assert cls.kind == "infinitely_many"
+        assert cls.support_qualified
+
+    def test_periodic_family_is_not_qualified(self):
+        cls = classify_initial_problem(spec_of(12, 2, 6, [2, 4, 0, 2], period=4), Residue(2, 12))
+        assert cls.kind == "infinitely_many"
+        assert not cls.support_qualified
+        # at d == 1 no divisibility check rests on the prefix
+        cls = classify_initial_problem(spec_of(6, 2, 3, [1, 2, 0]), Residue(4, 6))
+        assert cls.kind == "unique"
+        assert not cls.support_qualified
+
 
 class TestGeneralSolution:
     def test_mixed_shape(self):

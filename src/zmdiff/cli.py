@@ -24,12 +24,13 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from .modring import NotNilpotent, Residue, nilpotency_index
 from .oracle import (
     BudgetExceeded,
+    PrefixSet,
     brute_force_prefixes,
     truncated_prefix_count,
     verify_solution,
@@ -74,7 +75,7 @@ class ProblemDocument:
     horizon: int = 8
 
 
-def _require_int(data: dict, name: str, value: Any) -> int:
+def _require_int(name: str, value: Any) -> int:
     # bool is an int subclass; a true/false here is always a typo
     if not isinstance(value, int) or isinstance(value, bool):
         raise DocumentError(name, f"expected an integer, got {value!r}")
@@ -93,28 +94,28 @@ def parse_document(data: Any) -> ProblemDocument:
     for key in ("m", "a", "b", "f"):
         if key not in data:
             raise DocumentError(key, "required field is missing")
-    m = _require_int(data, "m", data["m"])
+    m = _require_int("m", data["m"])
     if m < 2:
         raise DocumentError("m", f"modulus must be >= 2, got {m}")
     if m > MAX_MODULUS:
         raise DocumentError("m", f"modulus must be <= {MAX_MODULUS}, got {m}")
-    a = _require_int(data, "a", data["a"])
-    b = _require_int(data, "b", data["b"])
+    a = _require_int("a", data["a"])
+    b = _require_int("b", data["b"])
     raw_f = data["f"]
     if not isinstance(raw_f, list) or not raw_f:
         raise DocumentError("f", "expected a non-empty list of integers")
-    f = tuple(_require_int(data, "f", v) for v in raw_f)
+    f = tuple(_require_int("f", v) for v in raw_f)
     f_period = None
     if data.get("f_period") is not None:
-        f_period = _require_int(data, "f_period", data["f_period"])
+        f_period = _require_int("f_period", data["f_period"])
         if not 1 <= f_period <= len(f):
             raise DocumentError("f_period", f"period must lie in [1, {len(f)}], got {f_period}")
     y0 = None
     if data.get("y0") is not None:
-        y0 = _require_int(data, "y0", data["y0"])
+        y0 = _require_int("y0", data["y0"])
     horizon = 8
     if data.get("horizon") is not None:
-        horizon = _require_int(data, "horizon", data["horizon"])
+        horizon = _require_int("horizon", data["horizon"])
         if horizon < 1:
             raise DocumentError("horizon", f"horizon must be >= 1, got {horizon}")
     return ProblemDocument(m, a, b, f, f_period, y0, horizon)
@@ -136,38 +137,34 @@ def document_to_spec(doc: ProblemDocument) -> ProblemSpec:
     return ProblemSpec(doc.m, doc.a, doc.b, SequenceSpec.from_ints(doc.f, doc.m, doc.f_period))
 
 
+def _load(args: argparse.Namespace) -> tuple[ProblemDocument, ProblemSpec]:
+    """The command's document, from --input or stdin, and the problem it states.
+
+    --y0 and --horizon, on the commands that take them, replace the
+    document's fields before validation, so a flag obeys the field's rules.
+    """
+    if args.input is not None:
+        with open(args.input, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    else:
+        text = sys.stdin.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError("<document>", f"invalid JSON: {exc}") from None
+    if isinstance(data, dict):  # anything else is parse_document's to reject
+        data.update((k, v) for k in ("y0", "horizon") if (v := getattr(args, k, None)) is not None)
+    doc = parse_document(data)
+    return doc, document_to_spec(doc)
+
+
 # ---------------------------------------------------------------------------
 # report construction
 
 
-def _structure_report(st: Structure) -> dict:
-    """The split/reduction data every command's report leads with."""
-    return {
-        "m": st.spec.m,
-        "a": st.spec.a,
-        "b": st.spec.b,
-        "d": st.d,
-        "m1": st.split.m1,
-        "m2": st.split.m2,
-        "ind_b2": st.ind_b2,
-        "m_prime": st.psplit.m,
-        "m1_prime": st.psplit.m1,
-        "m2_prime": st.psplit.m2,
-        "ind_b2_prime": st.ind_b2_prime,
-    }
-
-
-def _verdict_dict(st: Structure) -> tuple[dict, Classification]:
-    cls = st.classify()
-    out: dict[str, Any] = {"kind": cls.kind}
-    if cls.kind == "finite":
-        out["count"] = cls.count
-    elif cls.kind == "infinite":
-        out["d"] = cls.d
-        out["m1_prime"] = cls.m1_prime
-    else:
-        out["witness_index"] = cls.witness_index
-    return out, cls
+def _verdict_dict(cls: Classification) -> dict:
+    """The verdict's kind and the fields that kind sets; the support flag is reported beside it."""
+    return {k: v for k, v in vars(cls).items() if v is not None and k != "support_qualified"}
 
 
 def _needs(exc: InsufficientLookahead) -> list[int]:
@@ -240,16 +237,27 @@ def _freedom_text(sol) -> str:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
-    st = structure(document_to_spec(doc))
-    spec = st.spec
-    report = {"command": "classify"}
-    report.update(_structure_report(st))
-    verdict, cls = _verdict_dict(st)
-    report["verdict"] = verdict
-    report["support_qualified"] = cls.support_qualified
-    report["compatibility"] = _compatibility_dict(st)
-    report["initial"] = _initial_dict(st, doc.y0) if doc.y0 is not None else None
+    doc, spec = _load(args)
+    st = structure(spec)
+    cls = st.classify()
+    report = {
+        "command": "classify",
+        "m": spec.m,
+        "a": spec.a,
+        "b": spec.b,
+        "d": st.d,
+        "m1": st.split.m1,
+        "m2": st.split.m2,
+        "ind_b2": st.ind_b2,
+        "m_prime": st.psplit.m,
+        "m1_prime": st.psplit.m1,
+        "m2_prime": st.psplit.m2,
+        "ind_b2_prime": st.ind_b2_prime,
+        "verdict": _verdict_dict(cls),
+        "support_qualified": cls.support_qualified,
+        "compatibility": _compatibility_dict(st),
+        "initial": _initial_dict(st, doc.y0) if doc.y0 is not None else None,
+    }
 
     lines = [
         _kv("equation", f"{spec.b}*x[n+1] = {spec.a}*x[n] + f[n]  (mod {spec.m})"),
@@ -265,15 +273,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
             lines.append(_kv("ind(b' mod m2')", report["ind_b2_prime"]))
     if cls.kind == "finite":
         word = "solution" if cls.count == 1 else "solutions"
-        lines.append(_kv("verdict", f"finite: exactly {cls.count} {word}"))
+        verdict = f"finite: exactly {cls.count} {word}"
     elif cls.kind == "infinite":
-        lines.append(
-            _kv("verdict", f"infinite family: d={cls.d}, {cls.m1_prime} reduced branches")
-        )
+        verdict = f"infinite family: d={cls.d}, {cls.m1_prime} reduced branches"
     else:
-        lines.append(
-            _kv("verdict", f"none: forcing term {cls.witness_index} not divisible by d")
-        )
+        verdict = f"none: forcing term {cls.witness_index} not divisible by d"
+    lines.append(_kv("verdict", verdict))
     if cls.support_qualified:
         lines.append(_kv("support", "qualified: certified only on the provided prefix"))
     comp = report["compatibility"]
@@ -307,37 +312,37 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return {"none": EXIT_FAIL, "undecidable": EXIT_UNDECIDABLE}.get(headline, EXIT_OK)
 
 
-def _build_solution(st: Structure, y0: int | None):
-    """(mode, solution, None), or (mode, None, why there is no solution)."""
-    mode = "equation" if y0 is None else "initial"
+def _solution_window(
+    args: argparse.Namespace, doc: ProblemDocument, spec: ProblemSpec, **empty: list
+) -> tuple[str, GeneralSolution | None, int]:
+    """(mode, solution, last index) for solve and enumerate.
+
+    The last index is the last whose value reads no forcing term past the
+    horizon. When there is no solution, this prints the refusal, with the
+    fields in `empty` (enumerate's rows) reported empty, and the solution is None.
+    """
+    mode = "equation" if doc.y0 is None else "initial"
     try:
-        return mode, st.solution(None if y0 is None else Residue(y0, st.spec.m)), None
+        sol = structure(spec).solution(None if doc.y0 is None else Residue(doc.y0, spec.m))
     except ValueError as exc:  # Structure.solution's refusal
-        return mode, None, str(exc)
-
-
-def _last_index(sol: GeneralSolution, horizon: int) -> int:
-    """The last index whose value reads no forcing term past index `horizon`."""
-    if horizon < sol.lookahead:
-        raise ValueError(f"horizon {horizon} is smaller than the lookahead {sol.lookahead}")
-    return horizon - sol.lookahead
+        report = {"command": args.command, "mode": mode, "verdict": "none", "detail": str(exc)}
+        _emit({**report, **empty}, args.format, [str(exc), *(f"0 {key}" for key in empty)])
+        return mode, None, -1
+    if doc.horizon < sol.lookahead:
+        raise ValueError(f"horizon {doc.horizon} is smaller than the lookahead {sol.lookahead}")
+    return mode, sol, doc.horizon - sol.lookahead
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
-    spec = document_to_spec(doc)
-    mode, sol, detail = _build_solution(structure(spec), doc.y0)
+    mode, sol, last = _solution_window(args, *_load(args))
     if sol is None:
-        report = {"command": "solve", "mode": mode, "verdict": "none", "detail": detail}
-        _emit(report, args.format, [detail])
         return EXIT_FAIL
-    last = _last_index(sol, doc.horizon)
     values = [sol.value(n, args.x10, args.alpha).value for n in range(last + 1)]
     report = {
         "command": "solve",
         "mode": mode,
         "kind": sol.kind,
-        "m": spec.m,
+        "m": sol.modulus,
         "free_initial_modulus": sol.free_initial_modulus,
         "lift_digit_bound": sol.lift_digit_bound,
         "lookahead": sol.lookahead,
@@ -362,23 +367,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
-    spec = document_to_spec(doc)
+    doc, spec = _load(args)
     cap = args.max
     if cap < 1:
         raise ValueError(f"--max must be >= 1, got {cap}")
-    mode, sol, detail = _build_solution(structure(spec), doc.y0)
+    mode, sol, last = _solution_window(args, doc, spec, rows=[])
     if sol is None:
-        report = {
-            "command": "enumerate",
-            "mode": mode,
-            "verdict": "none",
-            "detail": detail,
-            "rows": [],
-        }
-        _emit(report, args.format, [detail, "0 rows"])
         return EXIT_FAIL
-    last = _last_index(sol, doc.horizon)
     fixed = dict(sol.fixed_digits)
     free_idx = [n for n in range(last + 1) if n not in fixed] if sol.lift_digit_bound > 1 else []
     block = sol.lift_digit_bound ** len(free_idx)
@@ -403,7 +398,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "command": "enumerate",
         "mode": mode,
         "kind": sol.kind,
-        "m": spec.m,
+        "m": sol.modulus,
         "first_index": 0,
         "last_index": last,
         "family": family,
@@ -423,16 +418,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             + " ".join(map(str, row["values"]))
         )
     if truncated:
-        lines.append(
-            "truncated: infinite family" if family == "infinite" else "truncated: finite family"
-        )
+        lines.append(f"truncated: {family} family")
     _emit(report, args.format, lines)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
-    spec = document_to_spec(doc)
+    doc, spec = _load(args)
     candidate = args.candidate
     if len(candidate) < 2:
         raise ValueError("candidate needs at least 2 values")
@@ -464,20 +456,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _window_prediction(st: Structure, horizon: int) -> tuple[int, int | None]:
-    """(expected count, window witness) for a length-`horizon` prefix set cut by st.truncation.
+def _count_check(
+    st: Structure, horizon: int, budget: int
+) -> tuple[int, int | None, int, PrefixSet]:
+    """(expected, window witness, observed, prefixes): the brute-force count of the
+    length-`horizon` prefixes, cut by st.truncation, against its prediction.
 
     The prediction is exact for the constraint window f[0..horizon-2]: a
     later divisibility witness is invisible to prefixes of this length.
+    Raises BudgetExceeded when the enumeration outgrows `budget`.
     """
-    if st.witness is not None and st.witness < horizon - 1:
-        return 0, st.witness
-    return st.psplit.m1 * st.d ** (horizon - st.truncation), None
+    witness = st.witness if st.witness is not None and st.witness < horizon - 1 else None
+    expected = 0 if witness is not None else st.psplit.m1 * st.d ** (horizon - st.truncation)
+    pfx = brute_force_prefixes(st.spec, horizon, budget=budget)
+    return expected, witness, truncated_prefix_count(pfx, st.truncation), pfx
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
-    spec = document_to_spec(doc)
+    _, spec = _load(args)
     horizon = args.oracle_n
     if horizon < 2:
         raise ValueError(f"--oracle-n must be >= 2, got {horizon}")
@@ -485,9 +481,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     cut = st.truncation
     if horizon <= cut:
         raise ValueError(f"--oracle-n {horizon} must exceed the truncation depth {cut}")
-    expected, witness = _window_prediction(st, horizon)
-    pfx = brute_force_prefixes(spec, horizon, budget=args.budget)
-    observed = truncated_prefix_count(pfx, cut)
+    expected, witness, observed, _ = _count_check(st, horizon, args.budget)
     agree = observed == expected
     report = {
         "command": "oracle_check",
@@ -535,11 +529,9 @@ def run_oracle_sweep(
     rng = random.Random(seed)
     discrepancies: list[dict] = []
     per_m = []
-    totals = {"cells": 0, "count_checks": 0, "sequence_checks": 0,
-              "initial_checks": 0, "compat_checks": 0}
+    checks = ("cells", "count_checks", "sequence_checks", "initial_checks", "compat_checks")
     for m in range(2, m_max + 1):
-        row = {"m": m, "cells": 0, "count_checks": 0, "sequence_checks": 0,
-               "initial_checks": 0, "compat_checks": 0, "failures": 0}
+        row = {"m": m, **dict.fromkeys(checks, 0), "failures": 0}
         for a in range(m):
             for b in range(m):
                 for _ in range(trials):
@@ -550,15 +542,13 @@ def run_oracle_sweep(
                     row["cells"] += 1
                     row["failures"] += len(discrepancies) - before
         per_m.append(row)
-        for key in totals:
-            totals[key] += row[key]
     return {
         "m_max": m_max,
         "trials": trials,
         "seed": seed,
         "horizon": horizon,
         "budget": budget,
-        **totals,
+        **{key: sum(row[key] for row in per_m) for key in checks},
         "per_m": per_m,
         "discrepancies": discrepancies,
         "ok": not discrepancies,
@@ -580,17 +570,14 @@ def _audit_cell(
         out.append({"kind": kind, "m": m, "a": spec.a, "b": spec.b, "f": f, **detail})
 
     st = structure(spec)
-    cut = st.truncation
-    expected, _ = _window_prediction(st, horizon)
     try:
-        pfx = brute_force_prefixes(spec, horizon, budget=budget)
+        expected, _, observed, pfx = _count_check(st, horizon, budget)
     except BudgetExceeded:
         flag("budget", budget=budget)
         return
-    observed = truncated_prefix_count(pfx, cut)
     row["count_checks"] += 1
     if observed != expected:
-        flag("count", truncation=cut, expected=expected, observed=observed)
+        flag("count", truncation=st.truncation, expected=expected, observed=observed)
 
     if st.classify().kind == "none":
         try:
@@ -740,21 +727,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # argument plumbing
 
 
-def _load_document(args: argparse.Namespace) -> ProblemDocument:
-    if args.input is not None:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    else:
-        text = sys.stdin.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError("<document>", f"invalid JSON: {exc}") from None
-    # --y0 and --horizon, on the commands that take them, override the document
-    given = {k: getattr(args, k, None) for k in ("y0", "horizon")}
-    return replace(parse_document(data), **{k: v for k, v in given.items() if v is not None})
-
-
 def _csv_ints(text: str) -> list[int]:
     if not text:
         return []
@@ -772,54 +744,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
-        if with_input:
-            p.add_argument("--input", help="problem document path (default: stdin)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    def option(*flags: str, **kwargs: Any) -> argparse.ArgumentParser:
+        """A parent parser declaring one option, shared by every command that takes it."""
+        holder = argparse.ArgumentParser(add_help=False)
+        holder.add_argument(*flags, **kwargs)
+        return holder
 
-    p = sub.add_parser("classify", help="solution-set verdict and structure data")
-    add_common(p)
-    p.add_argument("--y0", type=int, help="pin the start value (overrides the document)")
-    p.set_defaults(handler=cmd_classify)
+    fmt = option("--format", choices=("text", "json"), default="text")
+    doc = option("--input", help="problem document path (default: stdin)")
+    y0 = option("--y0", type=int, help="pin the start value (overrides the document)")
+    horizon = option("--horizon", type=int, help="report indices 0..horizon-lookahead")
+    budget = option("--budget", type=int, default=10_000_000,
+                    help="enumeration state budget (default 1e7)")
 
-    p = sub.add_parser("solve", help="evaluate one solution over the horizon")
-    add_common(p)
-    p.add_argument("--y0", type=int, help="pin the start value (overrides the document)")
+    def command(name: str, handler, summary: str, *parents: argparse.ArgumentParser):
+        p = sub.add_parser(name, help=summary, parents=[*parents, fmt])
+        p.set_defaults(handler=handler)
+        return p
+
+    command("classify", cmd_classify, "solution-set verdict and structure data", doc, y0)
+    p = command("solve", cmd_solve, "evaluate one solution over the horizon", doc, y0, horizon)
     p.add_argument("--x10", type=int, default=0, help="free start parameter (default 0)")
     p.add_argument("--alpha", type=_csv_ints, default=(),
                    help="lift digits per index, comma-separated")
-    p.add_argument("--horizon", type=int, help="report indices 0..horizon-lookahead")
-    p.set_defaults(handler=cmd_solve)
-
-    p = sub.add_parser("enumerate", help="list distinct solutions over the horizon")
-    add_common(p)
-    p.add_argument("--y0", type=int, help="pin the start value (overrides the document)")
+    p = command("enumerate", cmd_enumerate, "list distinct solutions over the horizon",
+                doc, y0, horizon)
     p.add_argument("--max", type=int, default=16, help="row cap (default 16)")
-    p.add_argument("--horizon", type=int, help="report indices 0..horizon-lookahead")
-    p.set_defaults(handler=cmd_enumerate)
-
-    p = sub.add_parser("verify", help="check a candidate sequence against every transition")
-    add_common(p)
-    p.add_argument("--y0", type=int, help="pin the start value (overrides the document)")
+    p = command("verify", cmd_verify, "check a candidate sequence against every transition",
+                doc, y0)
     p.add_argument("candidate", type=int, nargs="+", help="candidate values x[0] x[1] ...")
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("oracle-check", help="compare counts against brute force")
-    add_common(p)
+    p = command("oracle-check", cmd_oracle_check, "compare counts against brute force",
+                doc, budget)
     p.add_argument("--oracle-n", type=int, default=5, help="prefix length (default 5)")
-    p.add_argument("--budget", type=int, default=10_000_000,
-                   help="enumeration state budget (default 1e7)")
-    p.set_defaults(handler=cmd_oracle_check)
-
-    p = sub.add_parser("sweep", help="oracle-agreement and equivalence sweeps")
-    add_common(p, with_input=False)
+    p = command("sweep", cmd_sweep, "oracle-agreement and equivalence sweeps", budget)
     p.add_argument("--m-max", type=int, default=12, help="largest modulus (default 12)")
     p.add_argument("--trials", type=int, default=5, help="forcing sequences per cell (default 5)")
     p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
-    p.add_argument("--budget", type=int, default=10_000_000,
-                   help="enumeration state budget (default 1e7)")
-    p.set_defaults(handler=cmd_sweep)
-
     return parser
 
 

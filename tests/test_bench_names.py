@@ -9,6 +9,7 @@ caller that would notice their removal.
 
 import functools
 import importlib
+import io
 import sys
 from pathlib import Path
 
@@ -36,3 +37,34 @@ def test_traced_name_resolves(name):
     assert callable(obj)
     # the tracer wraps only what the layer's own module defines
     assert obj.__module__ == module.__name__
+
+
+def _count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Wrap module.name the way the tracer does; the returned list's length is the call count."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_audit_cell_runs_once_per_sweep_cell(monkeypatch):
+    # cli.audit_cell.ms is per-cell time only while every cell goes through _audit_cell
+    cli = importlib.import_module("zmdiff.cli")
+    calls = _count_calls(monkeypatch, cli, "_audit_cell")
+    report = cli.run_oracle_sweep(4, 1, 0)
+    assert len(calls) == report["cells"] == 2 * 2 + 3 * 3 + 4 * 4
+
+
+def test_classify_parses_its_document_once(monkeypatch, capsys):
+    # cli.parse_document.ms covers the whole validation only while one call does all of it
+    cli = importlib.import_module("zmdiff.cli")
+    calls = _count_calls(monkeypatch, cli, "parse_document")
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"m": 6, "a": 2, "b": 3, "f": [1, 2, 0, 1]}'))
+    assert cli.main(["classify"]) == 0
+    assert len(calls) == 1
+    assert "finite: exactly 2 solutions" in capsys.readouterr().out

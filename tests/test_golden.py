@@ -114,6 +114,10 @@ def _cases() -> list[tuple[str, list[str], dict | str | None]]:
         add("oracle-check-n1", ["oracle-check", "--oracle-n", "1"], MIXED)
         add("sweep", ["sweep", "--m-max", "4", "--trials", "2", "--seed", "3"], None)
         add("malformed", ["classify"], {**MIXED, "bogus": 1})
+        # the --y0 and --horizon flags obey the rules of the document fields they replace
+        add("solve-horizon-flag-0", ["solve", "--horizon", "0"], MIXED)
+        add("enumerate-horizon-flag-negative", ["enumerate", "--horizon", "-1"], MIXED)
+        add("classify-y0-flag-2^63", ["classify", "--y0", str(2**63)], MIXED)
     cases.append(("invalid-json", ["classify"], "{not json"))
     return cases
 

@@ -12,7 +12,7 @@ horizon sets the default report depth (8). Unknown fields are rejected.
 Exit codes: 0 success, 1 no solution / verification failure / sweep
 discrepancy, 2 usage or malformed input, 3 enumeration budget exceeded,
 4 undecidable on the given support (the answer needs forcing terms past
-an aperiodic prefix).
+an aperiodic prefix), 141 the reader closed the output pipe early.
 Output is byte-identical across runs for fixed inputs and seed.
 """
 
@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -49,6 +50,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_UNDECIDABLE = 4
+EXIT_BROKEN_PIPE = 128 + 13  # killed by SIGPIPE, as a shell reports it
 
 MAX_MODULUS = 2**32
 MAX_INT = 2**63
@@ -119,18 +121,6 @@ def parse_document(data: Any) -> ProblemDocument:
         if horizon < 1:
             raise DocumentError("horizon", f"horizon must be >= 1, got {horizon}")
     return ProblemDocument(m, a, b, f, f_period, y0, horizon)
-
-
-def serialize_document(doc: ProblemDocument) -> dict:
-    """Inverse of parse_document: parse(serialize(doc)) == doc."""
-    out: dict[str, Any] = {"m": doc.m, "a": doc.a, "b": doc.b, "f": list(doc.f)}
-    if doc.f_period is not None:
-        out["f_period"] = doc.f_period
-    if doc.y0 is not None:
-        out["y0"] = doc.y0
-    if doc.horizon != 8:
-        out["horizon"] = doc.horizon
-    return out
 
 
 def document_to_spec(doc: ProblemDocument) -> ProblemSpec:
@@ -337,7 +327,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     mode, sol, last = _solution_window(args, *_load(args))
     if sol is None:
         return EXIT_FAIL
-    values = [sol.value(n, args.x10, args.alpha).value for n in range(last + 1)]
+    values = [r.value for r in sol.sequence(last + 1, args.x10, args.alpha)]
     report = {
         "command": "solve",
         "mode": mode,
@@ -390,7 +380,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         for i in reversed(free_idx):
             rest, dg = divmod(rest, sol.lift_digit_bound)
             alpha[i] = dg
-        values = [sol.value(n, x10, alpha).value for n in range(last + 1)]
+        values = [r.value for r in sol.sequence(last + 1, x10, alpha)]
         rows.append({"x10": x10, "alpha": alpha, "values": values})
     truncated = total > len(rows)
     family = "infinite" if sol.lift_digit_bound > 1 else "finite"
@@ -524,8 +514,15 @@ def run_oracle_sweep(
     Per cell and trial: the truncated prefix count must match the closed-form
     prediction, every solver-produced sequence must verify, a pinned start
     taken from an oracle prefix must solve, and the forced start residue
-    must agree with the oracle's.
+    must agree with the oracle's. The first modulus with a cell whose
+    truncation depth reaches `horizon` is 2**horizon (b = 2), and such a
+    cell has no prefix left to count, so m_max must stay below it.
     """
+    if m_max >= 2**horizon:
+        raise ValueError(
+            f"--m-max must be below 2**{horizon} = {2**horizon}: from m = {2**horizon} on, "
+            f"some cells have a truncation depth of {horizon}, the fixed prefix length"
+        )
     rng = random.Random(seed)
     discrepancies: list[dict] = []
     per_m = []
@@ -791,6 +788,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # the reader is gone; anything still buffered goes to devnull, so that
+        # the interpreter's final flush cannot fail and print a traceback
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_BROKEN_PIPE
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -20,21 +20,12 @@ class SplitModuli:
     m: int
     m1: int
     m2: int
-    fact_m1: Factorization
-    fact_m2: Factorization
 
 
 def split_modulus(fact_m: Factorization, b: int) -> SplitModuli:
     """Partition the prime powers of m by whether their prime divides b."""
-    coprime: list[tuple[int, int]] = []
-    shared: list[tuple[int, int]] = []
-    for p, k in fact_m.factors:
-        (shared if b % p == 0 else coprime).append((p, k))
-    m1 = math.prod(p**k for p, k in coprime)
-    m2 = math.prod(p**k for p, k in shared)
-    return SplitModuli(
-        fact_m.n, m1, m2, Factorization(m1, tuple(coprime)), Factorization(m2, tuple(shared))
-    )
+    m2 = math.prod(p**k for p, k in fact_m.factors if b % p == 0)
+    return SplitModuli(fact_m.n, fact_m.n // m2, m2)
 
 
 @dataclass(frozen=True)

@@ -29,21 +29,6 @@ class NotNilpotent(ArithmeticError):
     """Nilpotency index requested for a non-nilpotent element."""
 
 
-def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with x*a + y*b == g == gcd(a, b) and g >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 @dataclass(frozen=True)
 class Residue:
     """A canonical element [value] of Z_modulus.
@@ -96,23 +81,15 @@ class Residue:
         return Residue(pow(self.value, exponent, self.modulus), self.modulus)
 
     def inverse(self) -> Residue:
-        """Multiplicative inverse via extended Euclid; 0 inverts to 0 in Z_1."""
-        if self.modulus == 1:
-            return self
-        g, x, _ = extended_gcd(self.value, self.modulus)
-        if g != 1:
-            raise NotInvertible(f"{self} is not invertible (gcd {g})")
-        return Residue(x, self.modulus)
+        """Multiplicative inverse; 0 inverts to 0 in Z_1."""
+        try:
+            return Residue(pow(self.value, -1, self.modulus), self.modulus)
+        except ValueError:
+            g = math.gcd(self.value, self.modulus)
+            raise NotInvertible(f"{self} is not invertible (gcd {g})") from None
 
     def __str__(self) -> str:
         return f"[{self.value}]_{self.modulus}"
-
-
-def gcd3(a: int, b: int, m: int) -> int:
-    """Positive gcd of (a, b, m); equals m when a == b == 0."""
-    if m < 2:
-        raise InvalidModulus(f"gcd3 needs a modulus >= 2, got {m}")
-    return math.gcd(a, b, m)
 
 
 @dataclass(frozen=True)

@@ -32,21 +32,6 @@ class PrefixSet:
     modulus: int
     sequences: frozenset[tuple[int, ...]]
 
-    def members_sorted(self) -> list[tuple[int, ...]]:
-        return sorted(self.sequences)
-
-
-def step_solutions(xn: Residue, fn: Residue, a: int, b: int, m: int) -> list[Residue]:
-    """All x with b*x == a*xn + fn (mod m), found by trying every element.
-
-    Empty iff gcd(b, m) does not divide the right-hand side; otherwise
-    exactly gcd(b, m) values, returned in ascending order.
-    """
-    if xn.modulus != m or fn.modulus != m:
-        raise ModulusMismatch(f"expected residues mod {m}, got {xn} and {fn}")
-    rhs = (a * xn.value + fn.value) % m
-    return [Residue(x, m) for x in range(m) if (b * x) % m == rhs]
-
 
 def brute_force_prefixes(
     spec: ProblemSpec,

@@ -7,10 +7,11 @@ about unseen indices is only decidable "on the provided support".
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .modring import InvalidModulus, ModulusMismatch, Residue, gcd3
+from .modring import InvalidModulus, ModulusMismatch, Residue
 
 
 class InsufficientData(LookupError):
@@ -90,16 +91,8 @@ class ProblemSpec:
         object.__setattr__(self, "b", self.b % self.m)
 
     @property
-    def A(self) -> Residue:
-        return Residue(self.a, self.m)
-
-    @property
-    def B(self) -> Residue:
-        return Residue(self.b, self.m)
-
-    @property
     def d(self) -> int:
-        return gcd3(self.a, self.b, self.m)
+        return math.gcd(self.a, self.b, self.m)
 
 
 @dataclass(frozen=True)
@@ -115,7 +108,6 @@ class ReducedSpec:
     a: int
     b: int
     forcing: SequenceSpec
-    y0: Residue | None = None
 
     def as_problem(self) -> ProblemSpec:
         return ProblemSpec(self.m, self.a, self.b, self.forcing)
@@ -135,15 +127,13 @@ def first_nondivisible_index(forcing: SequenceSpec, d: int) -> int | None:
     return None
 
 
-def reduce_by_gcd(spec: ProblemSpec, y0: Residue | None = None) -> ReducedSpec:
+def reduce_by_gcd(spec: ProblemSpec) -> ReducedSpec:
     """Divide the whole equation by d = gcd(a, b, m).
 
     Requires d | f[n] on the decidable support; raises NonDivisibleForcing
     with the first failing index otherwise. For d == 1 this is an isomorphic
     restatement of the input.
     """
-    if y0 is not None and y0.modulus != spec.m:
-        raise ModulusMismatch(f"initial value {y0} is not a residue mod {spec.m}")
     d = spec.d
     witness = first_nondivisible_index(spec.forcing, d)
     if witness is not None:
@@ -151,26 +141,5 @@ def reduce_by_gcd(spec: ProblemSpec, y0: Residue | None = None) -> ReducedSpec:
     mp = spec.m // d
     reduced_terms = tuple(Residue(t.value // d, mp) for t in spec.forcing.terms)
     forcing = SequenceSpec(reduced_terms, spec.forcing.period)
-    reduced_y0 = Residue(y0.value, mp) if y0 is not None else None
-    return ReducedSpec(d, mp, spec.a // d, spec.b // d, forcing, reduced_y0)
+    return ReducedSpec(d, mp, spec.a // d, spec.b // d, forcing)
 
-
-def lift_solution(xprime: Sequence[Residue], alpha: Sequence[int], d: int, m: int) -> list[Residue]:
-    """Recombine a reduced solution with lift digits: x[n] = x'[n] + alpha[n]*(m/d) mod m.
-
-    Every residue mod m decomposes uniquely this way, so distinct digit
-    choices give distinct lifted values.
-    """
-    if d < 1 or m % d != 0:
-        raise ValueError(f"d must be a positive divisor of m, got d={d}, m={m}")
-    if len(xprime) != len(alpha):
-        raise ValueError(f"got {len(xprime)} values but {len(alpha)} digits")
-    mp = m // d
-    out: list[Residue] = []
-    for x, digit in zip(xprime, alpha):
-        if x.modulus != mp:
-            raise ModulusMismatch(f"expected residues mod {mp}, got {x}")
-        if not 0 <= digit < d:
-            raise InvalidLiftDigit(f"lift digit {digit} not in [0, {d})")
-        out.append(Residue(x.value + digit * mp, m))
-    return out

@@ -106,13 +106,6 @@ def nilpotent_solution(a2: Residue, b2: Residue, f2: SequenceSpec, n: int) -> Re
     return -acc
 
 
-def compatibility_residue(sp: SplitProblem) -> Residue:
-    """The only start value (mod m2) consistent with the nilpotent part."""
-    if sp.iso.split.m2 == 1:
-        raise ValueError("the nilpotent side is trivial; every start value is consistent")
-    return nilpotent_solution(sp.a2, sp.b2, sp.f2, 0)
-
-
 @dataclass(frozen=True)
 class Classification:
     """Solution-set verdict for the free equation (no pinned start).

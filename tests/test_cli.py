@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -11,7 +13,6 @@ from zmdiff.cli import (
     parse_document,
     run_uniqueness_sweep,
     run_oracle_sweep,
-    serialize_document,
 )
 
 EX1 = {"m": 6, "a": 2, "b": 3, "f": [1, 2, 0, 1], "f_period": 4}
@@ -71,12 +72,6 @@ class TestParseDocument:
     def test_not_an_object(self):
         with pytest.raises(DocumentError):
             parse_document([1, 2, 3])
-
-    @pytest.mark.parametrize("data", [EX1, EX2, EX3_EVEN, EX4,
-                                      {"m": 6, "a": -2, "b": 3, "f": [1], "y0": 0}])
-    def test_round_trip(self, data):
-        doc = parse_document(data)
-        assert parse_document(serialize_document(doc)) == doc
 
     def test_document_to_spec(self):
         spec = document_to_spec(parse_document(EX1))
@@ -274,6 +269,17 @@ class TestSweepCommand:
         assert report["oracle"]["discrepancies"] == []
         assert report["uniqueness"]["cells"] == sum(m * m for m in range(2, 5))
 
+    def test_m_max_limit(self, capsys, monkeypatch):
+        # from m = 2**5 on, m = 32 with b = 2 has a truncation depth of 5, the prefix length
+        monkeypatch.setattr("zmdiff.cli._audit_cell", lambda *args: pytest.fail("swept a cell"))
+        assert main(["sweep", "--m-max", "32"]) == 2
+        assert "--m-max must be below 2**5 = 32" in capsys.readouterr().err
+
+    def test_m_max_limit_follows_the_horizon(self):
+        assert run_oracle_sweep(3, 1, 0, horizon=2)["ok"]
+        with pytest.raises(ValueError, match="below 2\\*\\*2 = 4"):
+            run_oracle_sweep(4, 1, 0, horizon=2)
+
 
 class TestMainPlumbing:
     def test_stdin_document(self, capsys, monkeypatch):
@@ -291,6 +297,19 @@ class TestMainPlumbing:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_broken_pipe_exits_quietly(self, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EX1)))
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert main(["solve", "--format", "json"]) == 141
+        # later writes, such as the interpreter's final flush, go to devnull
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+        assert capsys.readouterr().err == ""
 
     def test_y0_flag_overrides_document(self, capsys, doc_path):
         path = doc_path({**EX1, "y0": 2})

@@ -29,9 +29,9 @@ def test_split_parts_multiply_back():
             assert s.m1 * s.m2 == m
             assert math.gcd(s.m1, s.m2) == 1
             # every prime of m2 divides b, no prime of m1 does
-            for p, _ in s.fact_m2.factors:
+            for p, _ in factorize(s.m2).factors:
                 assert b % p == 0
-            for p, _ in s.fact_m1.factors:
+            for p, _ in factorize(s.m1).factors:
                 assert b % p != 0
 
 

@@ -77,5 +77,6 @@ def test_index_32_window_verifies():
 def test_deep_explicit_value_matches_the_closed_form():
     m = 2**32
     spec = ProblemSpec(m, 5, 3, SequenceSpec.from_ints([7, 1, m - 1], m, period=2))
-    expected = explicit_solution(spec.A, spec.B, Residue(12345, m), spec.forcing, 5000)
+    a, b = Residue(spec.a, m), Residue(spec.b, m)
+    expected = explicit_solution(a, b, Residue(12345, m), spec.forcing, 5000)
     assert general_solution(spec).value(5000, 12345) == expected

@@ -4,7 +4,6 @@ from zmdiff.modring import ModulusMismatch, Residue
 from zmdiff.oracle import (
     BudgetExceeded,
     brute_force_prefixes,
-    step_solutions,
     truncated_prefix_count,
     verify_solution,
 )
@@ -18,24 +17,24 @@ def spec_of(m, a, b, f, period=None):
 MIXED = spec_of(6, 2, 3, [1, 2, 0, 1], period=4)
 
 
+def successors(m, a, b, xn, fn):
+    """Every x with b*x == a*xn + fn (mod m): the length-2 prefixes that start at xn."""
+    pfx = brute_force_prefixes(spec_of(m, a, b, [fn]), 2, y0=Residue(xn, m))
+    return sorted(seq[1] for seq in pfx.sequences)
+
+
 class TestStepSolutions:
     def test_gcd_many(self):
         # 3*x = 2*4 + 1 = 3 (mod 6): three solutions
-        got = step_solutions(Residue(4, 6), Residue(1, 6), 2, 3, 6)
-        assert [r.value for r in got] == [1, 3, 5]
+        assert successors(6, 2, 3, 4, 1) == [1, 3, 5]
 
     def test_empty_when_rhs_not_divisible(self):
-        got = step_solutions(Residue(0, 12), Residue(1, 12), 2, 6, 12)
-        assert got == []
+        assert successors(12, 2, 6, 0, 1) == []
 
     def test_invertible_b_gives_singleton(self):
-        got = step_solutions(Residue(2, 5), Residue(1, 5), 3, 2, 5)
+        got = successors(5, 3, 2, 2, 1)
         assert len(got) == 1
-        assert (2 * got[0].value) % 5 == (3 * 2 + 1) % 5
-
-    def test_modulus_checked(self):
-        with pytest.raises(ModulusMismatch):
-            step_solutions(Residue(0, 5), Residue(0, 6), 1, 1, 6)
+        assert (2 * got[0]) % 5 == (3 * 2 + 1) % 5
 
 
 class TestBruteForcePrefixes:
@@ -50,7 +49,7 @@ class TestBruteForcePrefixes:
     def test_members_satisfy_the_equation(self):
         pfx = brute_force_prefixes(MIXED, 5)
         assert pfx.sequences
-        for seq in pfx.members_sorted():
+        for seq in sorted(pfx.sequences):
             ok, _ = verify_solution(MIXED, [Residue(v, 6) for v in seq])
             assert ok
 
@@ -88,8 +87,9 @@ class TestBruteForcePrefixes:
 
     def test_members_sorted(self):
         pfx = brute_force_prefixes(MIXED, 3)
-        members = pfx.members_sorted()
-        assert members == sorted(members)
+        assert sorted(pfx.sequences) == [
+            (1, 5, 0), (1, 5, 2), (1, 5, 4), (4, 5, 0), (4, 5, 2), (4, 5, 4)
+        ]
 
 
 def test_truncated_prefix_count_bounds():

@@ -8,9 +8,9 @@ from zmdiff.problem import (
     ProblemSpec,
     SequenceSpec,
     first_nondivisible_index,
-    lift_solution,
     reduce_by_gcd,
 )
+from zmdiff.solver import structure
 
 
 class TestSequenceSpec:
@@ -55,8 +55,6 @@ class TestProblemSpec:
     def test_coefficients_stored_canonically(self):
         spec = ProblemSpec(12, 14, -3, SequenceSpec.from_ints([0], 12))
         assert (spec.a, spec.b) == (2, 9)
-        assert spec.A == Residue(2, 12)
-        assert spec.B == Residue(9, 12)
         assert spec.d == 1
 
     def test_d(self):
@@ -81,11 +79,10 @@ class TestReduceByGcd:
     def test_known_reduction(self):
         # 6*x[n+1] = 2*x[n] + f[n] over Z_12 divides through by 2
         spec = ProblemSpec(12, 2, 6, SequenceSpec.from_ints([2, 4, 0], 12, period=3))
-        red = reduce_by_gcd(spec, Residue(5, 12))
+        red = reduce_by_gcd(spec)
         assert (red.d, red.m, red.a, red.b) == (2, 6, 1, 3)
         assert [t.value for t in red.forcing.terms] == [1, 2, 0]
         assert red.forcing.period == 3
-        assert red.y0 == Residue(5, 6)
 
     def test_trivial_when_coprime(self):
         spec = ProblemSpec(6, 2, 3, SequenceSpec.from_ints([1, 2], 6))
@@ -104,32 +101,23 @@ class TestReduceByGcd:
             reduce_by_gcd(spec)
         assert err.value.witness == 1
 
-    def test_y0_modulus_checked(self):
-        spec = ProblemSpec(12, 2, 6, SequenceSpec.from_ints([2], 12))
-        with pytest.raises(ModulusMismatch):
-            reduce_by_gcd(spec, Residue(1, 6))
-
 
 class TestLiftSolution:
+    # the lift x[n] = x'[n] + alpha[n]*m' happens in GeneralSolution.value
     def test_known_lift(self):
-        xprime = [Residue(4, 6), Residue(1, 6)]
-        lifted = lift_solution(xprime, [1, 0], 2, 12)
-        assert lifted == [Residue(10, 12), Residue(1, 12)]
+        # d = 2, m' = 6; the reduced solution from x10 = 0 starts 2, 1
+        sol = structure(ProblemSpec(12, 2, 6, SequenceSpec.from_ints([2, 4, 0], 12, 3))).solution()
+        assert sol.sequence(2, 0, [0, 0]) == [Residue(2, 12), Residue(1, 12)]
+        assert sol.sequence(2, 0, [1, 0]) == [Residue(8, 12), Residue(1, 12)]
 
     def test_digits_must_be_in_range(self):
-        with pytest.raises(InvalidLiftDigit):
-            lift_solution([Residue(0, 6)], [2], 2, 12)
-        with pytest.raises(InvalidLiftDigit):
-            lift_solution([Residue(0, 6)], [-1], 2, 12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            lift_solution([Residue(0, 6)], [0, 1], 2, 12)
-
-    def test_wrong_residue_modulus(self):
-        with pytest.raises(ModulusMismatch):
-            lift_solution([Residue(0, 12)], [0], 2, 12)
+        sol = structure(ProblemSpec(12, 2, 6, SequenceSpec.from_ints([2, 4, 0], 12, 3))).solution()
+        for digit in (2, -1):
+            with pytest.raises(InvalidLiftDigit):
+                sol.value(0, 0, [digit])
 
     def test_distinct_digits_give_distinct_values(self):
-        seen = {lift_solution([Residue(2, 4)], [dg], 3, 12)[0].value for dg in range(3)}
+        # d = 3, m' = 4, and x'[0] = 2
+        sol = structure(ProblemSpec(12, 3, 6, SequenceSpec.from_ints([6], 12, 1))).solution()
+        seen = {sol.value(0, 0, [dg]).value for dg in range(3)}
         assert seen == {2, 6, 10}

@@ -9,12 +9,12 @@ from zmdiff.solver import (
     InsufficientLookahead,
     classify_equation,
     classify_initial_problem,
-    compatibility_residue,
     explicit_solution,
     general_solution,
     nilpotent_solution,
     solve_initial_problem,
     split_problem,
+    structure,
     truncation_depth,
 )
 
@@ -49,7 +49,7 @@ def test_split_problem_components():
 
 def test_explicit_solution_satisfies_transitions():
     xs = [
-        explicit_solution(EXPLICIT.A, EXPLICIT.B, Residue(3, 5), EXPLICIT.forcing, n)
+        explicit_solution(Residue(EXPLICIT.a, 5), Residue(EXPLICIT.b, 5), Residue(3, 5), EXPLICIT.forcing, n)
         for n in range(8)
     ]
     assert xs[0] == Residue(3, 5)
@@ -60,7 +60,8 @@ def test_explicit_solution_known_start_dependence():
     # with a = 0 the start value washes out after one step
     spec = spec_of(5, 0, 2, [1], period=1)
     for x0 in range(5):
-        xs = [explicit_solution(spec.A, spec.B, Residue(x0, 5), spec.forcing, n) for n in range(4)]
+        a, b = Residue(spec.a, 5), Residue(spec.b, 5)
+        xs = [explicit_solution(a, b, Residue(x0, 5), spec.forcing, n) for n in range(4)]
         assert xs[0].value == x0
         assert [x.value for x in xs[1:]] == [3, 3, 3]  # 2*x = 1 mod 5 -> x = 3
 
@@ -72,22 +73,23 @@ def test_nilpotent_solution_closed_form():
         f = [rng.randrange(9) for _ in range(6)]
         spec = spec_of(9, 2, 3, f)
         for n in range(4):
-            got = nilpotent_solution(spec.A, spec.B, spec.forcing, n)
+            got = nilpotent_solution(Residue(2, 9), Residue(3, 9), spec.forcing, n)
             assert got.value == (4 * f[n] + 6 * f[n + 1]) % 9
 
 
 def test_nilpotent_solution_needs_lookahead():
     spec = spec_of(9, 2, 3, [1, 1, 1])
-    nilpotent_solution(spec.A, spec.B, spec.forcing, 1)
+    a, b = Residue(spec.a, 9), Residue(spec.b, 9)
+    nilpotent_solution(a, b, spec.forcing, 1)
     with pytest.raises(InsufficientLookahead) as err:
-        nilpotent_solution(spec.A, spec.B, spec.forcing, 2)
+        nilpotent_solution(a, b, spec.forcing, 2)
     assert (err.value.index, err.value.window) == (2, 2)
 
 
 def test_compatibility_residue():
-    assert compatibility_residue(split_problem(MIXED)) == Residue(1, 3)
-    with pytest.raises(ValueError):
-        compatibility_residue(split_problem(EXPLICIT))
+    assert structure(MIXED).compatibility == Residue(1, 3)
+    # the nilpotent side is trivial: every start value is consistent
+    assert structure(EXPLICIT).compatibility is None
 
 
 class TestClassifyEquation:

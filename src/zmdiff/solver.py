@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, chain, islice
+from operator import mul
 
 from .crt import CrtIso, SplitModuli, crt_iso, split_modulus
 from .modring import ModulusMismatch, Residue, factorize, nilpotency_index
@@ -159,9 +161,11 @@ class GeneralSolution:
     value(n, x10, alpha) returns x[n] mod modulus, where x10 ranges over
     [0, free_initial_modulus) and alpha[i] supplies the lift digit for index
     i (missing digits default to 0; digits pinned by an initial condition
-    override the caller's). x[n] is Structure.reduced_value at n, started at
-    x10 plus the pinned start residue mod m1', plus alpha[n]*m' when d > 1.
-    Evaluating index n consumes forcing terms up through n + lookahead.
+    override the caller's). sequence(length, x10, alpha) returns x[0..length-1].
+    Both read Structure.window, started at x10 plus the pinned start residue
+    mod m1', and add alpha[n]*m' when d > 1. Evaluating index n consumes
+    forcing terms up through n + lookahead; a window costs one step per
+    value plus lookahead, and value(n) steps n times in O(lookahead) memory.
     """
 
     kind: str  # "explicit" | "nilpotent" | "mixed" | "lifted"
@@ -176,23 +180,27 @@ class GeneralSolution:
     def value(self, n: int, x10: int = 0, alpha: Sequence[int] = ()) -> Residue:
         if n < 0:
             raise ValueError(f"index must be non-negative, got {n}")
-        if not 0 <= x10 < self.free_initial_modulus:
-            raise ValueError(
-                f"free initial residue {x10} not in [0, {self.free_initial_modulus})"
-            )
-        st = self._structure
-        x = st.reduced_value(n, x10 + self._pin)
-        if st.d == 1:
-            return Residue(x, self.modulus)
-        digit = dict(self.fixed_digits).get(n)
-        if digit is None:
-            digit = alpha[n] if n < len(alpha) else 0
-            if not 0 <= digit < st.d:
-                raise InvalidLiftDigit(f"lift digit {digit} at index {n} not in [0, {st.d})")
-        return Residue(x + digit * st.psplit.m, self.modulus)
+        return self._window(n, 1, x10, alpha)[0]
 
     def sequence(self, length: int, x10: int = 0, alpha: Sequence[int] = ()) -> list[Residue]:
-        return [self.value(n, x10, alpha) for n in range(length)]
+        return self._window(0, length, x10, alpha) if length > 0 else []
+
+    def _window(self, start: int, length: int, x10: int, alpha: Sequence[int]) -> list[Residue]:
+        """x[start..start+length-1]; of the errors along it, the one at the lowest index wins."""
+        if not 0 <= x10 < self.free_initial_modulus:
+            raise ValueError(f"free initial residue {x10} not in [0, {self.free_initial_modulus})")
+        st = self._structure
+        xs, error = st.window(start, length, x10 + self._pin)
+        if st.d > 1:
+            fixed = dict(self.fixed_digits)
+            for n in range(start, start + len(xs)):
+                digit = fixed.get(n, alpha[n] if n < len(alpha) else 0)
+                if not 0 <= digit < st.d:
+                    raise InvalidLiftDigit(f"lift digit {digit} at index {n} not in [0, {st.d})")
+                xs[n - start] += digit * st.psplit.m
+        if error is not None:
+            raise error
+        return [Residue(x, self.modulus) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -250,37 +258,52 @@ class Structure:
         return "nilpotent" if self.psplit.m1 == 1 else "mixed"
 
     @cached_property
-    def _kernel(self) -> tuple[int, int, tuple[int, ...], int, int]:
-        """a', b'^-1 mod m1', the weights w_s = -a'^-(s+1) b'^s mod m2' for s < ind'
-        and the CRT units u1, u2; pow(x, -1, 1) == 0 zeroes a trivial side's unit.
+    def _kernel(self) -> tuple[int, int, int, int, tuple[int, ...], int, int]:
+        """a', b', b'^-1 mod m1', a'^-1 mod m2', the weights w_s = -a'^-(s+1) b'^s mod m2'
+        for s < ind' and the CRT units u1, u2; pow(x, -1, 1) == 0 zeroes a trivial side.
         """
         m1, m2 = self.psplit.m1, self.psplit.m2
         a, b = self.spec.a // self.d, self.spec.b // self.d
         ainv = pow(a, -1, m2)
         weights = tuple(-pow(ainv, s + 1, m2) * pow(b, s, m2) % m2 for s in range(self.truncation))
-        return a, pow(b, -1, m1), weights, m2 * pow(m2, -1, m1), m1 * pow(m1, -1, m2)
+        return a, b, pow(b, -1, m1), ainv, weights, m2 * pow(m2, -1, m1), m1 * pow(m1, -1, m2)
 
-    def reduced_value(self, n: int, x10: int) -> int:
-        """x'[n] mod m' of the equation divided by d, started at x10 mod m1'; needs witness None.
+    def window(self, start: int, length: int, x10: int) -> tuple[list[int], LookupError | None]:
+        """x'[start..start+length-1] mod m' of the equation divided by d, started at x10 mod m1'.
 
-        The m1' side steps x[k+1] = b'^-1 (a' x[k] + f'[k]) forward from x10, the
-        m2' side is the weighted sum of f'[n..n+ind'-1] (InsufficientLookahead
-        past the support), and the CRT units join them. f'[k] = f[k] / d.
+        Needs witness None and length >= 1. The m1' side steps x[k+1] = b'^-1 (a' x[k] + f'[k])
+        forward from x10, storing nothing before start. The m2' side is the
+        weighted sum of f'[n..n+ind'-1] at the window's last index n, stepped
+        back by x[k] = a'^-1 (b' x[k+1] - f'[k]). The CRT units join them;
+        f'[k] = f[k] / d, each read once. On an aperiodic support the values
+        stop before the first index that reads past it, and that index's
+        error comes back with them: InsufficientData from the m1' side,
+        otherwise InsufficientLookahead.
         """
-        a, binv, weights, u1, u2 = self._kernel
-        m1 = self.psplit.m1
-        term, d = self.spec.forcing.term, self.d
-        x1 = x10 % m1
-        if m1 > 1:
-            for k in range(n):
-                x1 = binv * (a * x1 + term(k).value // d) % m1
-        x2 = 0
-        try:
-            for s, w in enumerate(weights):
-                x2 += w * (term(n + s).value // d)
-        except InsufficientData:
-            raise InsufficientLookahead(n, len(weights)) from None
-        return (u1 * x1 + u2 * x2) % self.psplit.m
+        a, b, binv, ainv, weights, u1, u2 = self._kernel
+        m1, m2, ind = self.psplit.m1, self.psplit.m2, len(weights)
+        forcing, d = self.spec.forcing, self.d
+        stop, error = start + length, None
+        if forcing.period is None:
+            # index n reads f'[0..n-1] when m1' > 1 and f'[n..n+ind'-1] when ind' > 0
+            size = len(forcing.terms)
+            first_bad = min(size + 1 if m1 > 1 else stop, size - ind + 1 if ind else stop)
+            if first_bad < stop:
+                stop = max(first_bad, start)
+                error = (InsufficientData(size) if m1 > 1 and stop > size
+                         else InsufficientLookahead(stop, ind))
+        n = stop - start
+        if n == 0 or self.psplit.m == 1:
+            return [0] * n, error
+        f = [forcing.term(k).value // d for k in range(start, stop + ind - 1)]
+        ahead = (forcing.term(k).value // d for k in range(start if m1 > 1 else 0))
+        ones = accumulate(chain(ahead, f[: n - 1]), lambda x, fk: binv * (a * x + fk) % m1,
+                          initial=x10 % m1)
+        x2 = sum(map(mul, weights, f[n - 1 :])) % m2
+        twos = accumulate(reversed(f[: n - 1]), lambda x, fk: ainv * (b * x - fk) % m2,
+                          initial=x2)
+        pairs = zip(islice(ones, start if m1 > 1 else 0, None), reversed(list(twos)))
+        return [(u1 * x1 + u2 * x2) % self.psplit.m for x1, x2 in pairs], error
 
     @cached_property
     def compatibility(self) -> Residue | None:
@@ -290,7 +313,12 @@ class Structure:
         support is too short to decide it.
         """
         m2 = self.psplit.m2
-        return Residue(self.reduced_value(0, 0), m2) if m2 != 1 else None
+        if m2 == 1:
+            return None
+        values, error = self.window(0, 1, 0)
+        if error is not None:
+            raise error
+        return Residue(values[0], m2)
 
     def classify(self) -> Classification:
         if self.witness is not None:
@@ -324,7 +352,7 @@ class Structure:
     def solution(self, y0: Residue | None = None) -> GeneralSolution:
         """Every solution, free or pinned at x[0] = y0; raises ValueError when there are none.
 
-        A pinned solution starts reduced_value at y0 mod m1' and, when d > 1,
+        A pinned solution starts window at y0 mod m1' and, when d > 1,
         pins the lift digit alpha[0] = y0 // m'.
         """
         verdict = self.classify() if y0 is None else self.classify_initial(y0)

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import accumulate, chain, islice
+from functools import cached_property, reduce
 from operator import mul
 
 from .crt import CrtIso, SplitModuli, crt_iso, split_modulus
@@ -271,17 +270,17 @@ class Structure:
     def window(self, start: int, length: int, x10: int) -> tuple[list[int], LookupError | None]:
         """x'[start..start+length-1] mod m' of the equation divided by d, started at x10 mod m1'.
 
-        Needs witness None and length >= 1. The m1' side steps x[k+1] = b'^-1 (a' x[k] + f'[k])
-        forward from x10, storing nothing before start. The m2' side is the
-        weighted sum of f'[n..n+ind'-1] at the window's last index n, stepped
-        back by x[k] = a'^-1 (b' x[k+1] - f'[k]). The CRT units join them;
-        f'[k] = f[k] / d, each read once. On an aperiodic support the values
-        stop before the first index that reads past it, and that index's
-        error comes back with them: InsufficientData from the m1' side,
-        otherwise InsufficientLookahead.
+        Needs witness None and length >= 1. The m1' side steps
+        x[k+1] = b'^-1 (a' x[k] + f'[k]) forward from x10, storing nothing
+        before start. The m2' side is the weighted sum of f'[n..n+ind'-1] at
+        the window's last index n, stepped back by x[k] = a'^-1 (b' x[k+1] - f'[k]).
+        The CRT units join them; f'[k] = f[k] / d, each read once. On an
+        aperiodic support the values stop before the first index that reads
+        past it, and that index's error comes back with them: InsufficientData
+        from the m1' side, otherwise InsufficientLookahead.
         """
         a, b, binv, ainv, weights, u1, u2 = self._kernel
-        m1, m2, ind = self.psplit.m1, self.psplit.m2, len(weights)
+        m1, m2, mp, ind = self.psplit.m1, self.psplit.m2, self.psplit.m, len(weights)
         forcing, d = self.spec.forcing, self.d
         stop, error = start + length, None
         if forcing.period is None:
@@ -293,17 +292,21 @@ class Structure:
                 error = (InsufficientData(size) if m1 > 1 and stop > size
                          else InsufficientLookahead(stop, ind))
         n = stop - start
-        if n == 0 or self.psplit.m == 1:
+        if n == 0 or mp == 1:  # m' == 1 reads no forcing term
             return [0] * n, error
         f = [forcing.term(k).value // d for k in range(start, stop + ind - 1)]
-        ahead = (forcing.term(k).value // d for k in range(start if m1 > 1 else 0))
-        ones = accumulate(chain(ahead, f[: n - 1]), lambda x, fk: binv * (a * x + fk) % m1,
-                          initial=x10 % m1)
+        # step the m1' side to start; a trivial m1' side is 0 at every index
+        x1 = reduce(lambda x, k: binv * (a * x + forcing.term(k).value // d) % m1,
+                    range(start if m1 > 1 else 0), x10 % m1)
         x2 = sum(map(mul, weights, f[n - 1 :])) % m2
-        twos = accumulate(reversed(f[: n - 1]), lambda x, fk: ainv * (b * x - fk) % m2,
-                          initial=x2)
-        pairs = zip(islice(ones, start if m1 > 1 else 0, None), reversed(list(twos)))
-        return [(u1 * x1 + u2 * x2) % self.psplit.m for x1, x2 in pairs], error
+        out = [x2] * n
+        for j in range(n - 2, -1, -1):
+            x2 = out[j] = ainv * (b * x2 - f[j]) % m2
+        out[0] = (u1 * x1 + u2 * out[0]) % mp
+        for j, fk in enumerate(f[: n - 1], 1):
+            x1 = binv * (a * x1 + fk) % m1
+            out[j] = (u1 * x1 + u2 * out[j]) % mp
+        return out, error
 
     @cached_property
     def compatibility(self) -> Residue | None:
@@ -312,13 +315,12 @@ class Structure:
         Needs witness None. Raises InsufficientLookahead when the forcing
         support is too short to decide it.
         """
-        m2 = self.psplit.m2
-        if m2 == 1:
+        if self.psplit.m2 == 1:
             return None
         values, error = self.window(0, 1, 0)
         if error is not None:
             raise error
-        return Residue(values[0], m2)
+        return Residue(values[0], self.psplit.m2)
 
     def classify(self) -> Classification:
         if self.witness is not None:

@@ -1,15 +1,23 @@
 """The integer evaluator behind every solution, against the Residue closed forms.
 
-Structure.reduced_value steps the invertible side on ints and takes a fixed
-weighted sum on the nilpotent side. These tests hold it to verify_solution
-and to the reference closed forms (explicit_solution, nilpotent_solution,
-combine) on the gcd-reduced problem, including at the documented bounds.
+Structure.window evaluates a whole window on ints: it steps the invertible
+side forward once and the nilpotent side back from one weighted sum at the
+window's last index. These tests hold it to verify_solution, to the
+per-index value() loop (values and errors alike) and to the reference
+closed forms (explicit_solution, nilpotent_solution, combine) on the
+gcd-reduced problem, including at the documented bounds and long horizons.
 """
 
+import contextlib
+import io
+import json
 import math
+import time
+import tracemalloc
 
 from hypothesis import assume, given, strategies as st
 
+from zmdiff.cli import main
 from zmdiff.crt import combine
 from zmdiff.modring import Residue
 from zmdiff.oracle import verify_solution
@@ -80,3 +88,104 @@ def test_deep_explicit_value_matches_the_closed_form():
     a, b = Residue(spec.a, m), Residue(spec.b, m)
     expected = explicit_solution(a, b, Residue(12345, m), spec.forcing, 5000)
     assert general_solution(spec).value(5000, 12345) == expected
+
+
+@st.composite
+def windowed_solutions(draw):
+    """A free or pinned solution of an m <= 64 problem whose witness is None, with
+    periodic or aperiodic forcing, its support often shorter than the window
+    or the lookahead, and a digit vector with at most one digit out of range."""
+    m = draw(st.integers(2, 64))
+    a = draw(st.integers(0, m - 1))
+    b = draw(st.integers(0, m - 1))
+    d = math.gcd(a, b, m)
+    raw = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=WINDOW + 2))
+    period = draw(st.none() | st.integers(1, len(raw)))
+    spec = ProblemSpec(m, a, b, SequenceSpec.from_ints([v * d for v in raw], m, period))
+    sol = general_solution(spec)
+    digits = st.integers(0, sol.lift_digit_bound - 1)
+    alpha = draw(st.lists(digits, max_size=WINDOW + 2))
+    if alpha and draw(st.booleans()):
+        bad = draw(st.sampled_from([-1, sol.lift_digit_bound, sol.lift_digit_bound + 5]))
+        alpha[draw(st.integers(0, len(alpha) - 1))] = bad
+    x10 = draw(st.integers(0, sol.free_initial_modulus - 1))
+    y0 = None
+    if draw(st.booleans()):
+        with contextlib.suppress(LookupError):  # x[0] itself undecidable: stay free
+            y0 = sol.value(0, x10, [draw(digits)])
+    if y0 is not None:
+        sol, x10 = solve_initial_problem(spec, y0), 0
+    return spec, sol, y0, x10, alpha
+
+
+@given(windowed_solutions(), st.integers(0, WINDOW + 4))
+def test_window_matches_the_per_index_loop(case, length):
+    spec, sol, y0, x10, alpha = case
+    looped, first_error = [], None
+    for n in range(length):
+        try:
+            looped.append(sol.value(n, x10, alpha))
+        except (LookupError, ValueError) as exc:
+            first_error = exc
+            break
+    try:
+        window = sol.sequence(length, x10, alpha)
+    except (LookupError, ValueError) as exc:
+        assert first_error is not None, f"sequence raised {exc!r}, value() did not"
+        assert (type(exc), str(exc)) == (type(first_error), str(first_error))
+        return
+    assert first_error is None, f"value() raised {first_error!r}, sequence did not"
+    assert window == looped
+    # a transition past an aperiodic support has no forcing term to check against
+    checked = window if spec.forcing.period else window[: len(spec.forcing.terms) + 1]
+    assert verify_solution(spec, checked, y0) == (True, None)
+
+
+def _solve_json(tmp_path, doc: dict, horizon: int) -> tuple[dict, float]:
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(["solve", "--input", str(path), "--horizon", str(horizon), "--format", "json"])
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    return json.loads(out.getvalue()), elapsed
+
+
+def test_readme_document_solves_to_horizon_10000_within_a_second(tmp_path):
+    doc = {"m": 6, "a": 2, "b": 3, "f": [1, 2, 0, 1], "f_period": 4}
+    report, elapsed = _solve_json(tmp_path, doc, 10_000)
+    spec = ProblemSpec(6, 2, 3, SequenceSpec.from_ints(doc["f"], 6, 4))
+    values = [Residue(v, 6) for v in report["values"]]
+    assert len(values) == 10_001 - report["lookahead"]
+    assert verify_solution(spec, values) == (True, None)
+    assert elapsed < 1.0
+
+
+def test_explicit_document_near_2_32_solves_to_horizon_10000_within_a_second(tmp_path):
+    m = 2**32 - 5
+    doc = {"m": m, "a": 5, "b": 3, "f": [7, 1, m - 1], "f_period": 2}
+    report, elapsed = _solve_json(tmp_path, doc, 10_000)
+    spec = ProblemSpec(m, 5, 3, SequenceSpec.from_ints(doc["f"], m, 2))
+    values = [Residue(v, m) for v in report["values"]]
+    assert report["kind"] == "explicit" and len(values) == 10_001
+    assert verify_solution(spec, values) == (True, None)
+    assert elapsed < 1.0
+
+
+def test_far_value_steps_in_constant_memory():
+    # value(n) steps the invertible side n times without keeping f' before n
+    m = 2**31 - 1
+    spec = ProblemSpec(m, 5, 3, SequenceSpec.from_ints([7, 1, 9], m, period=2))
+    sol = general_solution(spec)
+    n = 10**6
+    tracemalloc.start()
+    try:
+        x = sol.value(n, 12345)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    nxt = sol.value(n + 1, 12345)
+    assert (3 * nxt.value - 5 * x.value - spec.forcing.term(n).value) % m == 0

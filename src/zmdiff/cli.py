@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any
 
-from .modring import NotNilpotent, Residue, nilpotency_index
+from .modring import Residue
 from .oracle import (
     BudgetExceeded,
     PrefixSet,
@@ -358,9 +358,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     doc, spec = _load(args)
-    cap = args.max
-    if cap < 1:
-        raise ValueError(f"--max must be >= 1, got {cap}")
+    _at_least(args, max=1)
     mode, sol, last = _solution_window(args, doc, spec, rows=[])
     if sol is None:
         return EXIT_FAIL
@@ -371,7 +369,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     rows = []
     # x10 major, then digit vectors lexicographic with the lowest index most
     # significant; decoded from the row ordinal so nothing is materialized
-    for ordinal in range(min(cap, total)):
+    for ordinal in range(min(args.max, total)):
         x10, rest = divmod(ordinal, block)
         alpha = [0] * (last + 1)
         for i, dg in fixed.items():
@@ -393,7 +391,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "last_index": last,
         "family": family,
         "window_rows": total,
-        "max": cap,
+        "max": args.max,
         "truncated": truncated,
         "rows": rows,
     }
@@ -464,9 +462,8 @@ def _count_check(
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     _, spec = _load(args)
+    _at_least(args, oracle_n=2, budget=1)
     horizon = args.oracle_n
-    if horizon < 2:
-        raise ValueError(f"--oracle-n must be >= 2, got {horizon}")
     st = structure(spec)
     cut = st.truncation
     if horizon <= cut:
@@ -622,14 +619,6 @@ def _audit_cell(
             flag("compat", required=required, observed=sorted(starts))
 
 
-def _is_nilpotent(b: int, m: int) -> bool:
-    try:
-        nilpotency_index(Residue(b, m))
-        return True
-    except NotNilpotent:
-        return False
-
-
 def run_uniqueness_sweep(m_max: int, forcing_trials: int, seed: int) -> dict:
     """Uniqueness-predicate equivalence over every (m <= m_max, a, b) cell.
 
@@ -645,7 +634,7 @@ def run_uniqueness_sweep(m_max: int, forcing_trials: int, seed: int) -> dict:
     for m in range(2, m_max + 1):
         zero_f = SequenceSpec.from_ints([0], m, period=1)
         for b in range(m):
-            nilp = _is_nilpotent(b, m)
+            nilp = pow(b, m.bit_length(), m) == 0  # a nilpotent b has index <= log2 m
             for a in range(m):
                 cells += 1
                 st = structure(ProblemSpec(m, a, b, zero_f))
@@ -687,6 +676,7 @@ def run_uniqueness_sweep(m_max: int, forcing_trials: int, seed: int) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _at_least(args, m_max=2, trials=1, budget=1)
     oracle_report = run_oracle_sweep(args.m_max, args.trials, args.seed, budget=args.budget)
     uniqueness_report = run_uniqueness_sweep(args.m_max, args.trials, args.seed)
     ok = oracle_report["ok"] and uniqueness_report["ok"]
@@ -722,6 +712,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # argument plumbing
+
+
+def _at_least(args: argparse.Namespace, **lows: int) -> None:
+    """Reject a work flag below its least meaningful value, by its flag name."""
+    for name, low in lows.items():
+        if (value := getattr(args, name)) < low:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
 
 
 def _csv_ints(text: str) -> list[int]:

@@ -39,12 +39,13 @@ def brute_force_prefixes(
     y0: Residue | None = None,
     budget: int = 10_000_000,
 ) -> PrefixSet:
-    """Depth-first enumeration of every solution prefix of the given length.
+    """Every solution prefix of the given length, built level by level.
 
-    Each partial prefix visited costs one unit of budget, and building the
-    successor table scans all of Z_m, so m itself must fit in the budget;
-    BudgetExceeded is raised rather than returning a partial answer. Needs
-    forcing terms f[0..horizon-2].
+    Level k+1 extends each valid prefix x[0..k-1] by every x with b*x = a*x[k-1] + f[k-1].
+    Each valid partial prefix costs one unit of budget, charged before its level
+    is built; the successor table scans Z_m, so m itself must fit in the budget.
+    BudgetExceeded is raised rather than a partial answer returned. Needs forcing
+    terms f[0..horizon-2], all read before the first level is extended.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -58,24 +59,15 @@ def brute_force_prefixes(
     for x in range(m):
         children[b * x % m].append(x)
     f = [spec.forcing.term(n).value for n in range(horizon - 1)]
-    starts = (y0.value,) if y0 is not None else range(m)
-    out: list[tuple[int, ...]] = []
-    visited = 0
-    for x0 in starts:
-        stack: list[tuple[int, ...]] = [(x0,)]
-        while stack:
-            prefix = stack.pop()
-            visited += 1
-            if visited > budget:
-                raise BudgetExceeded(budget)
-            depth = len(prefix)
-            if depth == horizon:
-                out.append(prefix)
-                continue
-            rhs = (a * prefix[-1] + f[depth - 1]) % m
-            for x in reversed(children[rhs]):
-                stack.append(prefix + (x,))
-    return PrefixSet(horizon, m, frozenset(out))
+    level = [(y0.value,)] if y0 is not None else [(x,) for x in range(m)]
+    visited = len(level)
+    for fk in f:
+        succ = [children[(a * p[-1] + fk) % m] for p in level]
+        visited += sum(map(len, succ))
+        if visited > budget:
+            raise BudgetExceeded(budget)
+        level = [p + (x,) for p, xs in zip(level, succ) for x in xs]
+    return PrefixSet(horizon, m, frozenset(level))
 
 
 def truncated_prefix_count(pfx: PrefixSet, cut: int) -> int:

@@ -277,19 +277,18 @@ class Structure:
         The CRT units join them; f'[k] = f[k] / d, each read once. On an
         aperiodic support the values stop before the first index that reads
         past it, and that index's error comes back with them: InsufficientData
-        from the m1' side, otherwise InsufficientLookahead.
+        from the m1' side or when m' == 1, otherwise InsufficientLookahead.
         """
         a, b, binv, ainv, weights, u1, u2 = self._kernel
         m1, m2, mp, ind = self.psplit.m1, self.psplit.m2, self.psplit.m, len(weights)
         forcing, d = self.spec.forcing, self.d
         stop, error = start + length, None
         if forcing.period is None:
-            # index n reads f'[0..n-1] when m1' > 1 and f'[n..n+ind'-1] when ind' > 0
+            # index n rests on f[0..n-1] and f'[n..n+ind'-1], so it needs n <= len(f) - ind'
             size = len(forcing.terms)
-            first_bad = min(size + 1 if m1 > 1 else stop, size - ind + 1 if ind else stop)
-            if first_bad < stop:
-                stop = max(first_bad, start)
-                error = (InsufficientData(size) if m1 > 1 and stop > size
+            if size + 1 - ind < stop:
+                stop = max(size + 1 - ind, start)
+                error = (InsufficientData(size) if stop > size and (m1 > 1 or mp == 1)
                          else InsufficientLookahead(stop, ind))
         n = stop - start
         if n == 0 or mp == 1:  # m' == 1 reads no forcing term

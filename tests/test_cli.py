@@ -23,6 +23,8 @@ EX4 = {"m": 12, "a": 6, "b": 9, "f": [3, 0, 6], "f_period": 3, "horizon": 6}
 # the start condition of both reads f[0..2], over m2 = 8 and m2' = 8
 SHORT_SUPPORT = {"m": 8, "a": 1, "b": 2, "f": [1]}
 SHORT_SUPPORT_D2 = {"m": 16, "a": 2, "b": 4, "f": [2]}
+# a = b = 0: every x[n] is free, but x[n] rests on f[n-1] = 0
+NULL_RING = {"m": 4, "a": 0, "b": 0, "f": [0]}
 
 
 @pytest.fixture
@@ -222,6 +224,16 @@ class TestVerifyCommand:
         assert main(["verify", "--input", path, "4", "5", "0", "4"]) == 4
 
 
+@pytest.mark.parametrize(
+    "argv", [["solve", "--horizon", "6"], ["enumerate"], ["verify", "0", "1", "2", "3"]]
+)
+def test_null_ring_stops_at_the_support_as_verify_does(capsys, doc_path, argv):
+    assert main([*argv, "--input", doc_path(NULL_RING)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: forcing term at index 1 is beyond the provided support\n"
+    assert captured.out == ""
+
+
 class TestOracleCheckCommand:
     def test_agreement(self, capsys, doc_path):
         assert main(["oracle-check", "--input", doc_path(EX1), "--oracle-n", "5"]) == 0
@@ -279,6 +291,29 @@ class TestSweepCommand:
         assert run_oracle_sweep(3, 1, 0, horizon=2)["ok"]
         with pytest.raises(ValueError, match="below 2\\*\\*2 = 4"):
             run_oracle_sweep(4, 1, 0, horizon=2)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oracle-check", "--budget", "-1"], "--budget must be >= 1, got -1"),
+        (["oracle-check", "--budget", "0"], "--budget must be >= 1, got 0"),
+        (["sweep", "--budget", "0"], "--budget must be >= 1, got 0"),
+        (["sweep", "--trials", "0"], "--trials must be >= 1, got 0"),
+        (["sweep", "--m-max", "1"], "--m-max must be >= 2, got 1"),
+    ],
+)
+def test_malformed_work_flags_are_usage_errors(capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        pytest.fail("started work on a malformed flag")
+
+    for name in ("structure", "run_oracle_sweep", "run_uniqueness_sweep"):
+        monkeypatch.setattr(f"zmdiff.cli.{name}", no_work)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EX1)))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 class TestMainPlumbing:

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, strategies as st
 
 from zmdiff.modring import ModulusMismatch, Residue
 from zmdiff.oracle import (
@@ -90,6 +93,47 @@ class TestBruteForcePrefixes:
         assert sorted(pfx.sequences) == [
             (1, 5, 0), (1, 5, 2), (1, 5, 4), (4, 5, 0), (4, 5, 2), (4, 5, 4)
         ]
+
+
+def test_short_support_is_reported_before_the_budget():
+    # f[1..2] are missing; a lazy read would run out of budget at length 2 (36 prefixes) first
+    with pytest.raises(InsufficientData):
+        brute_force_prefixes(spec_of(6, 0, 0, [0]), 4, budget=6)
+
+
+@st.composite
+def small_problems(draw):
+    """m <= 6, any a and b, aperiodic forcing f[0..N-2] for N in 2..4, free or pinned."""
+    m = draw(st.integers(2, 6))
+    horizon = draw(st.integers(2, 4))
+    f = draw(st.lists(st.integers(0, m - 1), min_size=horizon - 1, max_size=horizon - 1))
+    spec = spec_of(m, draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1)), f)
+    y0 = draw(st.none() | st.integers(0, m - 1).map(lambda v: Residue(v, m)))
+    return spec, horizon, y0
+
+
+def verified_tuples(spec, length, y0):
+    """Every tuple in Z_m^length that verify_solution accepts, found by exhaustion."""
+    m = spec.m
+    return {
+        t for t in itertools.product(range(m), repeat=length)
+        if verify_solution(spec, [Residue(v, m) for v in t], y0)[0]
+    }
+
+
+@given(small_problems(), st.integers(-1, 0))
+def test_prefixes_and_budget_match_exhaustion(problem, slack):
+    spec, horizon, y0 = problem
+    pfx = brute_force_prefixes(spec, horizon, y0)
+    assert pfx.sequences == verified_tuples(spec, horizon, y0)
+    # every valid partial prefix of length 1..N costs one unit of budget
+    count = sum(len(verified_tuples(spec, k, y0)) for k in range(1, horizon + 1))
+    budget = count + slack
+    if spec.m > budget or count > budget:
+        with pytest.raises(BudgetExceeded):
+            brute_force_prefixes(spec, horizon, y0, budget)
+    else:
+        assert brute_force_prefixes(spec, horizon, y0, budget) == pfx
 
 
 def test_truncated_prefix_count_bounds():

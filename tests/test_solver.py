@@ -4,7 +4,7 @@ import random
 import pytest
 
 from zmdiff.modring import ModulusMismatch, Residue
-from zmdiff.problem import InvalidLiftDigit, ProblemSpec, SequenceSpec
+from zmdiff.problem import InsufficientData, InvalidLiftDigit, ProblemSpec, SequenceSpec
 from zmdiff.solver import (
     InsufficientLookahead,
     classify_equation,
@@ -211,6 +211,13 @@ class TestGeneralSolution:
         sol = general_solution(spec)
         assert (sol.kind, sol.lift_digit_bound, sol.free_initial_modulus) == ("lifted", 4, 1)
         assert [x.value for x in sol.sequence(3, 0, [3, 1, 2])] == [3, 1, 2]
+
+    def test_null_ring_stops_at_an_aperiodic_support(self):
+        # x[n] rests on the transition f[n-1] = 0, which the support no longer covers at n = 2
+        sol = general_solution(spec_of(4, 0, 0, [0]))
+        assert [x.value for x in sol.sequence(2, 0, [3, 1])] == [3, 1]
+        with pytest.raises(InsufficientData, match="index 1 is beyond"):
+            sol.sequence(3)
 
     def test_no_solutions_raises(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ Problems arrive as a JSON document, from --input PATH or stdin:
 m >= 2 is the modulus, a and b the coefficients of b*x[n+1] = a*x[n] + f[n]
 (mod m), f the forcing prefix. Optional fields: f_period marks eventual
 periodicity (f[n+p] = f[n] for n >= len(f)-p), y0 pins the start value,
-horizon sets the default report depth (8). Unknown fields are rejected.
+horizon sets the default report depth (8). Unknown and repeated fields are
+rejected.
 
 Exit codes: 0 success, 1 no solution / verification failure / sweep
 discrepancy, 2 usage or malformed input, 3 enumeration budget exceeded,
@@ -25,7 +26,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 from typing import Any
 
 from .modring import Residue
@@ -40,6 +40,7 @@ from .problem import InsufficientData, ProblemSpec, SequenceSpec
 from .solver import (
     Classification,
     GeneralSolution,
+    InitialClassification,
     InsufficientLookahead,
     Structure,
     structure,
@@ -66,17 +67,6 @@ class DocumentError(ValueError):
         self.fieldname = fieldname
 
 
-@dataclass(frozen=True)
-class ProblemDocument:
-    m: int
-    a: int
-    b: int
-    f: tuple[int, ...]
-    f_period: int | None = None
-    y0: int | None = None
-    horizon: int = 8
-
-
 def _require_int(name: str, value: Any) -> int:
     # bool is an int subclass; a true/false here is always a typo
     if not isinstance(value, int) or isinstance(value, bool):
@@ -86,8 +76,8 @@ def _require_int(name: str, value: Any) -> int:
     return value
 
 
-def parse_document(data: Any) -> ProblemDocument:
-    """Validate a decoded JSON object; strict about unknown fields and types."""
+def parse_document(data: Any) -> tuple[ProblemSpec, int | None, int]:
+    """(problem, y0, horizon) from a decoded JSON object; strict about unknown fields and types."""
     if not isinstance(data, dict):
         raise DocumentError("<document>", "expected a JSON object")
     for key in data:
@@ -120,15 +110,21 @@ def parse_document(data: Any) -> ProblemDocument:
         horizon = _require_int("horizon", data["horizon"])
         if horizon < 1:
             raise DocumentError("horizon", f"horizon must be >= 1, got {horizon}")
-    return ProblemDocument(m, a, b, f, f_period, y0, horizon)
+    return ProblemSpec(m, a, b, SequenceSpec.from_ints(f, m, f_period)), y0, horizon
 
 
-def document_to_spec(doc: ProblemDocument) -> ProblemSpec:
-    return ProblemSpec(doc.m, doc.a, doc.b, SequenceSpec.from_ints(doc.f, doc.m, doc.f_period))
+def _unique_fields(pairs: list[tuple[str, Any]]) -> dict:
+    """A decoded JSON object that names each field once."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise DocumentError(key, "duplicate field")
+        data[key] = value
+    return data
 
 
-def _load(args: argparse.Namespace) -> tuple[ProblemDocument, ProblemSpec]:
-    """The command's document, from --input or stdin, and the problem it states.
+def _load(args: argparse.Namespace) -> tuple[ProblemSpec, int | None, int]:
+    """The command's document, from --input or stdin, parsed into (problem, y0, horizon).
 
     --y0 and --horizon, on the commands that take them, replace the
     document's fields before validation, so a flag obeys the field's rules.
@@ -139,59 +135,65 @@ def _load(args: argparse.Namespace) -> tuple[ProblemDocument, ProblemSpec]:
     else:
         text = sys.stdin.read()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text, object_pairs_hook=_unique_fields)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DocumentError("<document>", f"invalid JSON: {exc}") from None
     if isinstance(data, dict):  # anything else is parse_document's to reject
         data.update((k, v) for k in ("y0", "horizon") if (v := getattr(args, k, None)) is not None)
-    doc = parse_document(data)
-    return doc, document_to_spec(doc)
+    return parse_document(data)
 
 
 # ---------------------------------------------------------------------------
 # report construction
 
 
-def _verdict_dict(cls: Classification) -> dict:
-    """The verdict's kind and the fields that kind sets; the support flag is reported beside it."""
-    return {k: v for k, v in vars(cls).items() if v is not None and k != "support_qualified"}
+def _verdict_dict(cls: Classification | InitialClassification) -> dict:
+    """The verdict's kind and the fields that kind sets, residues by value; not the support flag."""
+    return {k: getattr(v, "value", v) for k, v in vars(cls).items()
+            if v is not None and k != "support_qualified"}
 
 
-def _needs(exc: InsufficientLookahead) -> list[int]:
-    """First and last forcing index that an undecidable start condition reads."""
-    return [exc.index, exc.index + exc.window - 1]
+def _undecidable(exc: InsufficientLookahead) -> tuple[list[int], str]:
+    """First and last forcing index that an undecidable answer reads, and the text saying so."""
+    last = exc.index + exc.window - 1
+    return [exc.index, last], f"undecidable: needs f[{exc.index}..{last}]"
 
 
-def _compatibility_dict(st: Structure) -> dict | None:
-    """The start-value condition over m2', if the problem has one."""
+def _compatibility(st: Structure) -> tuple[dict | None, list[str]]:
+    """The start-value condition over m2', if the problem has one: json and text lines."""
     if st.witness is not None:
-        return None
+        return None, []
     try:
         req = st.compatibility
     except InsufficientLookahead as exc:
-        return {"modulus": st.psplit.m2, "required": None, "needs_forcing_terms": _needs(exc)}
+        needs, text = _undecidable(exc)
+        out = {"modulus": st.psplit.m2, "required": None, "needs_forcing_terms": needs}
+        return out, [_kv("start condition", text)]
     if req is None:
-        return None
-    return {"modulus": req.modulus, "required": req.value}
+        return None, []
+    text = f"solvable with pinned start iff x[0] = {req.value} (mod {req.modulus})"
+    return {"modulus": req.modulus, "required": req.value}, [_kv("start condition", text)]
 
 
-def _initial_dict(st: Structure, y0: int) -> dict:
+def _initial(st: Structure, y0: int) -> tuple[dict, list[str]]:
+    """The verdict on the start x[0] = y0: json and text lines."""
     out: dict[str, Any] = {"y0": y0 % st.spec.m}
     try:
         icls = st.classify_initial(Residue(y0, st.spec.m))
     except InsufficientLookahead as exc:
-        out.update(kind="undecidable", needs_forcing_terms=_needs(exc))
-        return out
-    out["kind"] = icls.kind
-    if icls.kind == "none":
-        out["reason"] = icls.reason
+        needs, text = _undecidable(exc)
+        out.update(kind="undecidable", needs_forcing_terms=needs)
+    else:
+        out.update(_verdict_dict(icls))
         if icls.reason == "divisibility":
-            out["witness_index"] = icls.witness_index
-        else:
-            out["required"] = icls.required.value
-            out["actual"] = icls.actual.value
+            text = f"none (forcing term {icls.witness_index} not divisible by d)"
+        elif icls.reason == "compatibility":
             out["condition_modulus"] = icls.required.modulus
-    return out
+            text = (f"none (needs x[0] = {icls.required.value} "
+                    f"(mod {icls.required.modulus}), got {icls.actual.value})")
+        else:
+            text = "unique solution" if icls.kind == "unique" else "infinitely many solutions"
+    return out, [_kv(f"initial x[0]={out['y0']}", text)]
 
 
 def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
@@ -204,10 +206,6 @@ def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
 
 def _kv(label: str, value: Any) -> str:
     return f"{label:<22}{value}"
-
-
-def _undecidable_text(needs: list[int]) -> str:
-    return f"undecidable: needs f[{needs[0]}..{needs[1]}]"
 
 
 def _freedom_text(sol) -> str:
@@ -227,9 +225,11 @@ def _freedom_text(sol) -> str:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    doc, spec = _load(args)
+    spec, y0, _ = _load(args)
     st = structure(spec)
     cls = st.classify()
+    compatibility, compatibility_lines = _compatibility(st)
+    initial, initial_lines = _initial(st, y0) if y0 is not None else (None, [])
     report = {
         "command": "classify",
         "m": spec.m,
@@ -245,22 +245,22 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "ind_b2_prime": st.ind_b2_prime,
         "verdict": _verdict_dict(cls),
         "support_qualified": cls.support_qualified,
-        "compatibility": _compatibility_dict(st),
-        "initial": _initial_dict(st, doc.y0) if doc.y0 is not None else None,
+        "compatibility": compatibility,
+        "initial": initial,
     }
 
     lines = [
         _kv("equation", f"{spec.b}*x[n+1] = {spec.a}*x[n] + f[n]  (mod {spec.m})"),
-        _kv("d = gcd(a, b, m)", report["d"]),
-        _kv("split m1, m2", f"{report['m1']}, {report['m2']}"),
+        _kv("d = gcd(a, b, m)", st.d),
+        _kv("split m1, m2", f"{st.split.m1}, {st.split.m2}"),
     ]
-    if report["ind_b2"] is not None:
-        lines.append(_kv("ind(b mod m2)", report["ind_b2"]))
-    if report["d"] != 1:
-        lines.append(_kv("reduced m'", report["m_prime"]))
-        lines.append(_kv("split m1', m2'", f"{report['m1_prime']}, {report['m2_prime']}"))
-        if report["ind_b2_prime"] is not None:
-            lines.append(_kv("ind(b' mod m2')", report["ind_b2_prime"]))
+    if st.ind_b2 is not None:
+        lines.append(_kv("ind(b mod m2)", st.ind_b2))
+    if st.d != 1:
+        lines.append(_kv("reduced m'", st.psplit.m))
+        lines.append(_kv("split m1', m2'", f"{st.psplit.m1}, {st.psplit.m2}"))
+        if st.ind_b2_prime is not None:
+            lines.append(_kv("ind(b' mod m2')", st.ind_b2_prime))
     if cls.kind == "finite":
         word = "solution" if cls.count == 1 else "solutions"
         verdict = f"finite: exactly {cls.count} {word}"
@@ -271,39 +271,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
     lines.append(_kv("verdict", verdict))
     if cls.support_qualified:
         lines.append(_kv("support", "qualified: certified only on the provided prefix"))
-    comp = report["compatibility"]
-    if comp is not None:
-        if comp["required"] is None:
-            condition = _undecidable_text(comp["needs_forcing_terms"])
-        else:
-            condition = (
-                f"solvable with pinned start iff x[0] = {comp['required']} (mod {comp['modulus']})"
-            )
-        lines.append(_kv("start condition", condition))
-    if report["initial"] is not None:
-        ini = report["initial"]
-        if ini["kind"] == "undecidable":
-            detail = _undecidable_text(ini["needs_forcing_terms"])
-        elif ini["kind"] == "none":
-            if ini["reason"] == "divisibility":
-                detail = f"none (forcing term {ini['witness_index']} not divisible by d)"
-            else:
-                detail = (
-                    f"none (needs x[0] = {ini['required']} "
-                    f"(mod {ini['condition_modulus']}), got {ini['actual']})"
-                )
-        elif ini["kind"] == "unique":
-            detail = "unique solution"
-        else:
-            detail = "infinitely many solutions"
-        lines.append(_kv(f"initial x[0]={ini['y0']}", detail))
-    _emit(report, args.format, lines)
-    headline = report["initial"]["kind"] if report["initial"] is not None else cls.kind
+    _emit(report, args.format, lines + compatibility_lines + initial_lines)
+    headline = initial["kind"] if initial is not None else cls.kind
     return {"none": EXIT_FAIL, "undecidable": EXIT_UNDECIDABLE}.get(headline, EXIT_OK)
 
 
 def _solution_window(
-    args: argparse.Namespace, doc: ProblemDocument, spec: ProblemSpec, **empty: list
+    args: argparse.Namespace, spec: ProblemSpec, y0: int | None, horizon: int, **empty: list
 ) -> tuple[str, GeneralSolution | None, int]:
     """(mode, solution, last index) for solve and enumerate.
 
@@ -311,16 +285,16 @@ def _solution_window(
     horizon. When there is no solution, this prints the refusal, with the
     fields in `empty` (enumerate's rows) reported empty, and the solution is None.
     """
-    mode = "equation" if doc.y0 is None else "initial"
+    mode = "equation" if y0 is None else "initial"
     try:
-        sol = structure(spec).solution(None if doc.y0 is None else Residue(doc.y0, spec.m))
+        sol = structure(spec).solution(None if y0 is None else Residue(y0, spec.m))
     except ValueError as exc:  # Structure.solution's refusal
         report = {"command": args.command, "mode": mode, "verdict": "none", "detail": str(exc)}
         _emit({**report, **empty}, args.format, [str(exc), *(f"0 {key}" for key in empty)])
         return mode, None, -1
-    if doc.horizon < sol.lookahead:
-        raise ValueError(f"horizon {doc.horizon} is smaller than the lookahead {sol.lookahead}")
-    return mode, sol, doc.horizon - sol.lookahead
+    if horizon < sol.lookahead:
+        raise ValueError(f"horizon {horizon} is smaller than the lookahead {sol.lookahead}")
+    return mode, sol, horizon - sol.lookahead
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -357,27 +331,25 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    doc, spec = _load(args)
+    spec, y0, horizon = _load(args)
     _at_least(args, max=1)
-    mode, sol, last = _solution_window(args, doc, spec, rows=[])
+    mode, sol, last = _solution_window(args, spec, y0, horizon, rows=[])
     if sol is None:
         return EXIT_FAIL
     fixed = dict(sol.fixed_digits)
-    free_idx = [n for n in range(last + 1) if n not in fixed] if sol.lift_digit_bound > 1 else []
-    block = sol.lift_digit_bound ** len(free_idx)
+    radix = [1 if i in fixed else sol.lift_digit_bound for i in range(last + 1)]
+    block = math.prod(radix)
     total = sol.free_initial_modulus * block
     rows = []
     # x10 major, then digit vectors lexicographic with the lowest index most
-    # significant; decoded from the row ordinal so nothing is materialized
+    # significant; decoded from the row ordinal so nothing is materialized.
+    # A fixed digit has radix 1: its decoded digit is 0, offset by the fixed value.
     for ordinal in range(min(args.max, total)):
         x10, rest = divmod(ordinal, block)
         alpha = [0] * (last + 1)
-        for i, dg in fixed.items():
-            if i <= last:
-                alpha[i] = dg
-        for i in reversed(free_idx):
-            rest, dg = divmod(rest, sol.lift_digit_bound)
-            alpha[i] = dg
+        for i in reversed(range(last + 1)):
+            rest, dg = divmod(rest, radix[i])
+            alpha[i] = dg + fixed.get(i, 0)
         values = [r.value for r in sol.sequence(last + 1, x10, alpha)]
         rows.append({"x10": x10, "alpha": alpha, "values": values})
     truncated = total > len(rows)
@@ -412,13 +384,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    doc, spec = _load(args)
+    spec, y0, _ = _load(args)
     candidate = args.candidate
     if len(candidate) < 2:
         raise ValueError("candidate needs at least 2 values")
     # a candidate longer than the forcing support raises InsufficientData -> exit 4
     seq = [Residue(v, spec.m) for v in candidate]
-    pinned = Residue(doc.y0, spec.m) if doc.y0 is not None else None
+    pinned = Residue(y0, spec.m) if y0 is not None else None
     ok, idx = verify_solution(spec, seq, pinned)
     detail = "all transitions satisfied"
     if not ok:
@@ -461,7 +433,7 @@ def _count_check(
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    _, spec = _load(args)
+    spec, _, _ = _load(args)
     _at_least(args, oracle_n=2, budget=1)
     horizon = args.oracle_n
     st = structure(spec)

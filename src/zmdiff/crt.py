@@ -32,8 +32,8 @@ def split_modulus(fact_m: Factorization, b: int) -> SplitModuli:
 class CrtIso:
     """Recombination data for the split: e1 = inverse of m2 mod m1, e2 = inverse of m1 mod m2.
 
-    Either helper is 0 when its side is the null ring; combine degenerates to the
-    identity embedding then.
+    Either helper is 0 when its side is the null ring (pow(x, -1, 1) == 0); combine
+    degenerates to the identity embedding then.
     """
 
     split: SplitModuli
@@ -42,9 +42,7 @@ class CrtIso:
 
 
 def crt_iso(split: SplitModuli) -> CrtIso:
-    e1 = Residue(split.m2, split.m1).inverse().value if split.m1 != 1 else 0
-    e2 = Residue(split.m1, split.m2).inverse().value if split.m2 != 1 else 0
-    return CrtIso(split, e1, e2)
+    return CrtIso(split, pow(split.m2, -1, split.m1), pow(split.m1, -1, split.m2))
 
 
 def project(x: Residue, target: int, split: SplitModuli) -> Residue:

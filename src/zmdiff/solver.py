@@ -265,7 +265,8 @@ class Structure:
         a, b = self.spec.a // self.d, self.spec.b // self.d
         ainv = pow(a, -1, m2)
         weights = tuple(-pow(ainv, s + 1, m2) * pow(b, s, m2) % m2 for s in range(self.truncation))
-        return a, b, pow(b, -1, m1), ainv, weights, m2 * pow(m2, -1, m1), m1 * pow(m1, -1, m2)
+        iso = crt_iso(self.psplit)
+        return a, b, pow(b, -1, m1), ainv, weights, m2 * iso.e1, m1 * iso.e2
 
     def window(self, start: int, length: int, x10: int) -> tuple[list[int], LookupError | None]:
         """x'[start..start+length-1] mod m' of the equation divided by d, started at x10 mod m1'.

@@ -7,13 +7,12 @@ import pytest
 
 from zmdiff.cli import (
     DocumentError,
-    ProblemDocument,
-    document_to_spec,
     main,
     parse_document,
     run_uniqueness_sweep,
     run_oracle_sweep,
 )
+from zmdiff.problem import SequenceSpec
 
 EX1 = {"m": 6, "a": 2, "b": 3, "f": [1, 2, 0, 1], "f_period": 4}
 EX2 = {"m": 9, "a": 2, "b": 3, "f": [1], "f_period": 1}
@@ -39,13 +38,14 @@ def doc_path(tmp_path):
 
 class TestParseDocument:
     def test_full_document(self):
-        doc = parse_document({"m": 6, "a": 2, "b": 3, "f": [1, 2], "f_period": 2,
-                              "y0": 4, "horizon": 5})
-        assert doc == ProblemDocument(6, 2, 3, (1, 2), 2, 4, 5)
+        spec, y0, horizon = parse_document({"m": 6, "a": 2, "b": 3, "f": [1, 2], "f_period": 2,
+                                            "y0": 4, "horizon": 5})
+        assert (spec.m, spec.a, spec.b, y0, horizon) == (6, 2, 3, 4, 5)
+        assert spec.forcing == SequenceSpec.from_ints([1, 2], 6, 2)
 
     def test_defaults(self):
-        doc = parse_document({"m": 6, "a": 2, "b": 3, "f": [1]})
-        assert (doc.f_period, doc.y0, doc.horizon) == (None, None, 8)
+        spec, y0, horizon = parse_document({"m": 6, "a": 2, "b": 3, "f": [1]})
+        assert (spec.forcing.period, y0, horizon) == (None, None, 8)
 
     @pytest.mark.parametrize(
         "data, field",
@@ -76,7 +76,7 @@ class TestParseDocument:
             parse_document([1, 2, 3])
 
     def test_document_to_spec(self):
-        spec = document_to_spec(parse_document(EX1))
+        spec, _, _ = parse_document(EX1)
         assert (spec.m, spec.a, spec.b) == (6, 2, 3)
         assert spec.forcing.period == 4
 
@@ -329,6 +329,21 @@ class TestMainPlumbing:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["classify", "--input", str(path)]) == 2
+
+    def test_deeply_nested_document_is_a_usage_error(self, capsys, monkeypatch):
+        depth = 100_000
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * depth + "]" * depth))
+        assert main(["classify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: field '<document>': invalid JSON")
+        assert captured.err.count("\n") == 1
+
+    def test_duplicate_field_is_rejected_by_name(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"m":6,"a":2,"b":3,"f":[1],"m":7}'))
+        assert main(["classify"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: field 'm': duplicate field\n")
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2

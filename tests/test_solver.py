@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from zmdiff.modring import ModulusMismatch, Residue
 from zmdiff.problem import InsufficientData, InvalidLiftDigit, ProblemSpec, SequenceSpec
@@ -170,6 +171,32 @@ class TestClassifyInitialProblem:
         cls = classify_initial_problem(spec_of(6, 2, 3, [1, 2, 0]), Residue(4, 6))
         assert cls.kind == "unique"
         assert not cls.support_qualified
+
+
+@given(st.data())
+def test_aperiodic_start_verdicts_are_exact_or_name_the_terms_they_need(data):
+    """On an aperiodic f shorter than the lookahead, every start verdict either raises
+    InsufficientLookahead for an index past the support or holds on every periodic
+    completion of f. A support-qualified infinitely_many rests on unseen terms by design."""
+    m = data.draw(st.integers(2, 64))
+    a, b = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    f = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=5))
+    completions = []
+    for _ in range(3):
+        full = f + data.draw(st.lists(st.integers(0, m - 1), max_size=8))
+        period = data.draw(st.integers(1, len(full)))
+        completions.append(structure(spec_of(m, a, b, full, period)))
+    aperiodic = structure(spec_of(m, a, b, f))
+    for y0 in range(m):
+        try:
+            verdict = aperiodic.classify_initial(Residue(y0, m))
+        except InsufficientLookahead as exc:
+            assert exc.index + exc.window - 1 >= len(f)
+            continue
+        if verdict.kind == "infinitely_many" and verdict.support_qualified:
+            continue
+        for completion in completions:
+            assert completion.classify_initial(Residue(y0, m)).kind == verdict.kind
 
 
 class TestGeneralSolution:

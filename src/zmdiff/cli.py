@@ -29,13 +29,7 @@ import sys
 from typing import Any
 
 from .modring import Residue
-from .oracle import (
-    BudgetExceeded,
-    PrefixSet,
-    brute_force_prefixes,
-    truncated_prefix_count,
-    verify_solution,
-)
+from .oracle import BudgetExceeded, count_prefixes, verify_solution
 from .problem import InsufficientData, ProblemSpec, SequenceSpec
 from .solver import (
     Classification,
@@ -113,14 +107,16 @@ def parse_document(data: Any) -> tuple[ProblemSpec, int | None, int]:
     return ProblemSpec(m, a, b, SequenceSpec.from_ints(f, m, f_period)), y0, horizon
 
 
-def _unique_fields(pairs: list[tuple[str, Any]]) -> dict:
-    """A decoded JSON object that names each field once."""
-    data = {}
-    for key, value in pairs:
-        if key in data:
-            raise DocumentError(key, "duplicate field")
-        data[key] = value
-    return data
+class _Fields(dict):
+    """A decoded JSON object, and the first field name it repeats (the last value wins)."""
+
+    def __init__(self, pairs: list[tuple[str, Any]]):
+        super().__init__()
+        self.repeated: str | None = None
+        for key, value in pairs:
+            if key in self and self.repeated is None:
+                self.repeated = key
+            self[key] = value
 
 
 def _load(args: argparse.Namespace) -> tuple[ProblemSpec, int | None, int]:
@@ -135,10 +131,12 @@ def _load(args: argparse.Namespace) -> tuple[ProblemSpec, int | None, int]:
     else:
         text = sys.stdin.read()
     try:
-        data = json.loads(text, object_pairs_hook=_unique_fields)
+        data = json.loads(text, object_pairs_hook=_Fields)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DocumentError("<document>", f"invalid JSON: {exc}") from None
     if isinstance(data, dict):  # anything else is parse_document's to reject
+        if data.repeated is not None:  # a nested object fails later, by its field's type
+            raise DocumentError(data.repeated, "duplicate field")
         data.update((k, v) for k in ("y0", "horizon") if (v := getattr(args, k, None)) is not None)
     return parse_document(data)
 
@@ -418,18 +416,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _count_check(
     st: Structure, horizon: int, budget: int
-) -> tuple[int, int | None, int, PrefixSet]:
-    """(expected, window witness, observed, prefixes): the brute-force count of the
-    length-`horizon` prefixes, cut by st.truncation, against its prediction.
+) -> tuple[int, int | None, int, list[int]]:
+    """(expected, window witness, observed, starts): the oracle's count of the
+    length-`horizon` prefixes, cut by st.truncation, against its prediction, and
+    the ascending start values of the full prefixes.
 
     The prediction is exact for the constraint window f[0..horizon-2]: a
     later divisibility witness is invisible to prefixes of this length.
-    Raises BudgetExceeded when the enumeration outgrows `budget`.
+    Raises BudgetExceeded when m * horizon outgrows `budget`.
     """
     witness = st.witness if st.witness is not None and st.witness < horizon - 1 else None
     expected = 0 if witness is not None else st.psplit.m1 * st.d ** (horizon - st.truncation)
-    pfx = brute_force_prefixes(st.spec, horizon, budget=budget)
-    return expected, witness, truncated_prefix_count(pfx, st.truncation), pfx
+    observed, starts = count_prefixes(st.spec, horizon, st.truncation, budget=budget)
+    return expected, witness, observed, starts
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
@@ -481,9 +480,9 @@ def run_oracle_sweep(
     """Solver-vs-brute-force agreement over every (m <= m_max, a, b) cell.
 
     Per cell and trial: the truncated prefix count must match the closed-form
-    prediction, every solver-produced sequence must verify, a pinned start
-    taken from an oracle prefix must solve, and the forced start residue
-    must agree with the oracle's. The first modulus with a cell whose
+    prediction, every solver-produced sequence must verify, the least start
+    of the oracle's prefixes must solve when pinned, and the forced start
+    residue must agree with the oracle's. The first modulus with a cell whose
     truncation depth reaches `horizon` is 2**horizon (b = 2), and such a
     cell has no prefix left to count, so m_max must stay below it.
     """
@@ -537,7 +536,7 @@ def _audit_cell(
 
     st = structure(spec)
     try:
-        expected, _, observed, pfx = _count_check(st, horizon, budget)
+        expected, _, observed, starts = _count_check(st, horizon, budget)
     except BudgetExceeded:
         flag("budget", budget=budget)
         return
@@ -570,8 +569,8 @@ def _audit_cell(
                 row["sequence_checks"] += 1
                 if not ok:
                     flag("sequence", x10=x10, alpha=list(alpha), failing_index=idx)
-        if pfx.sequences:
-            y0v = min(pfx.sequences)[0]
+        if starts:
+            y0v = starts[0]
             icls = st.classify_initial(Residue(y0v, m))
             if icls.kind == "none":
                 flag("initial_classify", y0=y0v, verdict=icls.kind)
@@ -585,10 +584,10 @@ def _audit_cell(
 
     if st.d == 1 and st.compatibility is not None:
         required = st.compatibility.value
-        starts = {seq[0] % st.split.m2 for seq in pfx.sequences}
+        residues = {s % st.split.m2 for s in starts}
         row["compat_checks"] += 1
-        if starts != {required}:
-            flag("compat", required=required, observed=sorted(starts))
+        if residues != {required}:
+            flag("compat", required=required, observed=sorted(residues))
 
 
 def run_uniqueness_sweep(m_max: int, forcing_trials: int, seed: int) -> dict:
@@ -721,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     y0 = option("--y0", type=int, help="pin the start value (overrides the document)")
     horizon = option("--horizon", type=int, help="report indices 0..horizon-lookahead")
     budget = option("--budget", type=int, default=10_000_000,
-                    help="enumeration state budget (default 1e7)")
+                    help="oracle states: prefix positions times residues (default 1e7)")
 
     def command(name: str, handler, summary: str, *parents: argparse.ArgumentParser):
         p = sub.add_parser(name, help=summary, parents=[*parents, fmt])

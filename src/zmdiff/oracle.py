@@ -1,16 +1,20 @@
 """Brute-force ground truth for b*x[n+1] = a*x[n] + f[n] (mod m).
 
-Everything here works by direct enumeration over Z_m (no splitting, no
-closed forms), so it can serve as an independent check of the solver. A
-length-N prefix is constrained only by the transitions n = 0..N-2; callers
-who want to compare counts against the infinite problem must cut the
-unpinned tail themselves (the solver knows how deep it is).
+Everything here works directly over Z_m, by enumeration or by counting
+paths (no splitting, no closed forms), so it can serve as an independent
+check of the solver. A length-N prefix is constrained only by the
+transitions n = 0..N-2, so its last positions are not yet pinned by the
+infinite problem; count_prefixes drops that tail when told its depth (the
+solver knows how deep it is).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 from .modring import ModulusMismatch, Residue
 from .problem import ProblemSpec
@@ -70,12 +74,55 @@ def brute_force_prefixes(
     return PrefixSet(horizon, m, frozenset(level))
 
 
-def truncated_prefix_count(pfx: PrefixSet, cut: int) -> int:
-    """Number of distinct prefixes after dropping the last `cut` positions."""
-    if not 0 <= cut < pfx.horizon:
-        raise ValueError(f"cut must lie in [0, {pfx.horizon}), got {cut}")
-    keep = pfx.horizon - cut
-    return len({seq[:keep] for seq in pfx.sequences})
+def count_prefixes(
+    spec: ProblemSpec,
+    horizon: int,
+    cut: int = 0,
+    y0: Residue | None = None,
+    budget: int = 10_000_000,
+) -> tuple[int, list[int]]:
+    """(count, starts): how many distinct prefixes x[0..horizon-cut-1] extend to a
+    solution prefix of length `horizon`, and the ascending x[0] of those full
+    prefixes ([y0] or [] when the start is pinned).
+
+    One backward pass over Z_m, the transfer-matrix method: v[x] counts the ways
+    on from x at position k. At position horizon-cut-1, v is clamped to 0/1 (x
+    extends to the full horizon or not), so earlier positions count kept paths,
+    not completions. Each (position, residue) state costs one unit of budget; m
+    must fit in it before anything is allocated. Needs f[0..horizon-2], read first.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if not 0 <= cut < horizon:
+        raise ValueError(f"cut must lie in [0, {horizon}), got {cut}")
+    m, a, b = spec.m, spec.a, spec.b
+    if y0 is not None and y0.modulus != m:
+        raise ModulusMismatch(f"initial value {y0} is not a residue mod {m}")
+    if m > budget:
+        raise BudgetExceeded(budget)
+    f = [spec.forcing.term(n).value for n in range(horizon - 1)]
+    if m * horizon > budget:
+        raise BudgetExceeded(budget)
+    # b*x mod m depends on x mod h alone and is one-to-one there: fold v onto the
+    # h classes, then place class i at b*i (every other residue gets the 0 at [h])
+    h = m // math.gcd(b, m)
+    place = [h] * m
+    for i in range(h):
+        place[b * i % m] = i
+    scatter = itemgetter(*place)
+    gather = itemgetter(*[a * x % m for x in range(m)])
+    v = [1] * m
+    for k in reversed(range(horizon - 1)):
+        folded = list(v) if h == m else list(map(sum, zip(*[v[j:j + h] for j in range(0, m, h)])))
+        folded.append(0)
+        s = scatter(folded)
+        v = gather(s[f[k]:] + s[:f[k]])  # v[x] = s[(a*x + f[k]) % m]
+        if k == horizon - cut - 1:
+            v = [1 if c else 0 for c in v]
+    if y0 is not None:
+        count = v[y0.value]
+        return count, [y0.value] if count else []
+    return sum(v), list(compress(range(m), v))
 
 
 def verify_solution(

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import sys
+import time
 
 import pytest
 
@@ -263,6 +264,14 @@ class TestOracleCheckCommand:
         assert captured.out == ""
         assert main(["oracle-check", "--input", path, "--oracle-n", "5", "--format", fmt]) == 0
 
+    def test_counts_without_listing_the_prefixes(self, capsys, doc_path):
+        # a = b = 0 makes every x[n] free: 31**6 prefixes, but only 31 * 6 counting states
+        doc = {"m": 31, "a": 0, "b": 0, "f": [0], "f_period": 1}
+        start = time.perf_counter()
+        assert main(["oracle-check", "--input", doc_path(doc), "--oracle-n", "6"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert "agreement             yes\n" in capsys.readouterr().out
+
     def test_budget_exceeded(self, capsys, doc_path):
         assert main(["oracle-check", "--input", doc_path(EX1), "--budget", "2"]) == 3
         assert "budget" in capsys.readouterr().err
@@ -344,6 +353,13 @@ class TestMainPlumbing:
         assert main(["classify"]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: field 'm': duplicate field\n")
+
+    def test_duplicate_inside_a_value_fails_on_the_field_that_holds_it(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"m":6,"a":2,"b":3,"f":[{"x":1,"x":2}]}'))
+        assert main(["classify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: field 'f': expected an integer, got {'x': 2}\n"
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -32,6 +32,7 @@ LIFTED_EXPLICIT = {"m": 12, "a": 6, "b": 9, "f": [3, 0, 6], "f_period": 3, "hori
 LIFTED_NILPOTENT = {"m": 18, "a": 4, "b": 6, "f": [2, 8, 14], "f_period": 3, "horizon": 6}
 LIFTED_IND2 = {"m": 36, "a": -34, "b": 6, "f": [4, 0, 2, 30], "f_period": 3, "horizon": 6}
 NULL_RING = {"m": 4, "a": 0, "b": 0, "f": [0], "f_period": 1, "horizon": 4}
+NULL_RING31 = {"m": 31, "a": 0, "b": 0, "f": [0], "f_period": 1}
 NO_SOLUTION = {"m": 12, "a": 2, "b": 6, "f": [1, 2, 0], "f_period": 3}
 QUALIFIED = {"m": 12, "a": 2, "b": 6, "f": [2, 4, 0]}
 APERIODIC = {"m": 9, "a": 2, "b": 3, "f": [1, 4, 7, 2]}
@@ -119,6 +120,10 @@ def _cases() -> list[tuple[str, list[str], dict | str | None]]:
         add("enumerate-horizon-flag-negative", ["enumerate", "--horizon", "-1"], MIXED)
         add("classify-y0-flag-2^63", ["classify", "--y0", str(2**63)], MIXED)
     cases.append(("invalid-json", ["classify"], "{not json"))
+    # counted, not listed: 31**6 prefixes, far past the default budget of 10**7 states
+    for fmt in ("text", "json"):
+        cases.append((f"oracle-check-null_ring31-n=6-{fmt}",
+                       ["oracle-check", "--oracle-n", "6", "--format", fmt], NULL_RING31))
     return cases
 
 

@@ -1,13 +1,16 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import zmdiff
 from zmdiff.modring import ModulusMismatch, Residue
 from zmdiff.oracle import (
     BudgetExceeded,
     brute_force_prefixes,
-    truncated_prefix_count,
+    count_prefixes,
     verify_solution,
 )
 from zmdiff.problem import InsufficientData, ProblemSpec, SequenceSpec
@@ -46,8 +49,8 @@ class TestBruteForcePrefixes:
         assert pfx.horizon == 4 and pfx.modulus == 6
         # the last position is only constrained up to the step multiplicity
         assert len(pfx.sequences) == 6
-        assert truncated_prefix_count(pfx, 1) == 2
-        assert truncated_prefix_count(pfx, 0) == 6
+        assert count_prefixes(MIXED, 4, 1) == (2, [1, 4])
+        assert count_prefixes(MIXED, 4, 0) == (6, [1, 4])
 
     def test_members_satisfy_the_equation(self):
         pfx = brute_force_prefixes(MIXED, 5)
@@ -59,10 +62,11 @@ class TestBruteForcePrefixes:
     def test_pinned_start(self):
         pfx = brute_force_prefixes(MIXED, 4, y0=Residue(4, 6))
         assert all(seq[0] == 4 for seq in pfx.sequences)
-        assert truncated_prefix_count(pfx, 1) == 1
+        assert count_prefixes(MIXED, 4, 1, y0=Residue(4, 6)) == (1, [4])
         # incompatible start: nothing survives
         empty = brute_force_prefixes(MIXED, 4, y0=Residue(2, 6))
         assert not empty.sequences
+        assert count_prefixes(MIXED, 4, 1, y0=Residue(2, 6)) == (0, [])
 
     def test_no_solutions_with_witness(self):
         pfx = brute_force_prefixes(spec_of(12, 2, 6, [1, 2, 0]), 4)
@@ -136,12 +140,84 @@ def test_prefixes_and_budget_match_exhaustion(problem, slack):
         assert brute_force_prefixes(spec, horizon, y0, budget) == pfx
 
 
-def test_truncated_prefix_count_bounds():
-    pfx = brute_force_prefixes(MIXED, 3)
-    with pytest.raises(ValueError):
-        truncated_prefix_count(pfx, 3)
-    with pytest.raises(ValueError):
-        truncated_prefix_count(pfx, -1)
+def test_count_prefixes_cut_bounds():
+    with pytest.raises(ValueError, match=r"cut must lie in \[0, 3\)"):
+        count_prefixes(MIXED, 3, 3)
+    with pytest.raises(ValueError, match=r"cut must lie in \[0, 3\)"):
+        count_prefixes(MIXED, 3, -1)
+
+
+@st.composite
+def counted_problems(draw):
+    """m <= 12, N in 1..5, periodic or aperiodic forcing (often too short), free or pinned."""
+    m = draw(st.integers(2, 12))
+    horizon = draw(st.integers(1, 5))
+    f = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=5))
+    period = draw(st.none() | st.integers(1, len(f)))
+    spec = spec_of(m, draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1)), f, period)
+    y0 = draw(st.none() | st.integers(0, m - 1).map(lambda v: Residue(v, m)))
+    return spec, horizon, y0
+
+
+@given(counted_problems())
+def test_count_prefixes_matches_brute_force(problem):
+    spec, horizon, y0 = problem
+    try:
+        pfx = brute_force_prefixes(spec, horizon, y0)
+    except InsufficientData as exc:
+        with pytest.raises(InsufficientData) as got:
+            count_prefixes(spec, horizon, 0, y0)
+        assert got.value.index == exc.index
+        return
+    starts = sorted({seq[0] for seq in pfx.sequences})
+    for cut in range(horizon):
+        kept = {seq[:horizon - cut] for seq in pfx.sequences}
+        assert count_prefixes(spec, horizon, cut, y0) == (len(kept), starts)
+
+
+def test_count_prefixes_budget():
+    # m > budget is refused before anything of size m is built or a forcing term is read
+    huge = spec_of(2**32, 3, 6, [3], period=1)
+    with pytest.raises(BudgetExceeded):
+        count_prefixes(huge, 4, budget=1000)
+    with pytest.raises(BudgetExceeded):
+        count_prefixes(huge, 4, y0=Residue(1, 2**32), budget=1000)
+    with pytest.raises(BudgetExceeded):
+        count_prefixes(spec_of(6, 0, 0, [0]), 4, budget=5)
+    # the forcing terms are read next, so a short support is reported before m * horizon
+    with pytest.raises(InsufficientData):
+        count_prefixes(spec_of(6, 0, 0, [0]), 4, budget=6)
+    # one unit per (position, residue) state, free or pinned
+    for horizon in range(1, 6):
+        for y0 in (None, Residue(4, 6)):
+            exact = count_prefixes(MIXED, horizon, 0, y0, budget=6 * horizon)
+            assert exact == count_prefixes(MIXED, horizon, 0, y0)
+            with pytest.raises(BudgetExceeded):
+                count_prefixes(MIXED, horizon, 0, y0, budget=6 * horizon - 1)
+
+
+def _zmdiff_imports(module: Path) -> set[str]:
+    """The zmdiff modules that a module's source imports, by file stem."""
+    full = []
+    for node in ast.walk(ast.parse(module.read_text())):
+        if isinstance(node, ast.Import):
+            full += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["zmdiff" if node.level else "", node.module]))
+            full += [f"{base}.{alias.name}" for alias in node.names]
+    stems = {name.split(".")[1] for name in full if name.startswith("zmdiff.")}
+    return {stem for stem in stems if module.with_name(f"{stem}.py").exists()}
+
+
+def test_oracle_stays_independent_of_the_solver():
+    # the oracle checks the solver, so neither it nor anything it imports may use solver or crt
+    reached, todo = set(), {Path(zmdiff.__file__).with_name("oracle.py")}
+    while todo:
+        module = todo.pop()
+        reached.add(module.stem)
+        todo |= {module.with_name(f"{stem}.py") for stem in _zmdiff_imports(module) - reached}
+    assert {"modring", "problem"} <= reached  # the walk sees the imports that are there
+    assert not reached & {"solver", "crt"}
 
 
 class TestVerifySolution:

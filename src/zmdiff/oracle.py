@@ -10,7 +10,6 @@ solver knows how deep it is).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
@@ -78,12 +77,10 @@ def count_prefixes(
     spec: ProblemSpec,
     horizon: int,
     cut: int = 0,
-    y0: Residue | None = None,
     budget: int = 10_000_000,
 ) -> tuple[int, list[int]]:
     """(count, starts): how many distinct prefixes x[0..horizon-cut-1] extend to a
-    solution prefix of length `horizon`, and the ascending x[0] of those full
-    prefixes ([y0] or [] when the start is pinned).
+    solution prefix of length `horizon`, and the ascending x[0] of those full prefixes.
 
     One backward pass over Z_m, the transfer-matrix method: v[x] counts the ways
     on from x at position k. At position horizon-cut-1, v is clamped to 0/1 (x
@@ -96,32 +93,21 @@ def count_prefixes(
     if not 0 <= cut < horizon:
         raise ValueError(f"cut must lie in [0, {horizon}), got {cut}")
     m, a, b = spec.m, spec.a, spec.b
-    if y0 is not None and y0.modulus != m:
-        raise ModulusMismatch(f"initial value {y0} is not a residue mod {m}")
     if m > budget:
         raise BudgetExceeded(budget)
     f = [spec.forcing.term(n).value for n in range(horizon - 1)]
     if m * horizon > budget:
         raise BudgetExceeded(budget)
-    # b*x mod m depends on x mod h alone and is one-to-one there: fold v onto the
-    # h classes, then place class i at b*i (every other residue gets the 0 at [h])
-    h = m // math.gcd(b, m)
-    place = [h] * m
-    for i in range(h):
-        place[b * i % m] = i
-    scatter = itemgetter(*place)
+    bx = [b * x % m for x in range(m)]
     gather = itemgetter(*[a * x % m for x in range(m)])
     v = [1] * m
     for k in reversed(range(horizon - 1)):
-        folded = list(v) if h == m else list(map(sum, zip(*[v[j:j + h] for j in range(0, m, h)])))
-        folded.append(0)
-        s = scatter(folded)
+        s = [0] * m
+        for t, c in zip(bx, v):
+            s[t] += c
         v = gather(s[f[k]:] + s[:f[k]])  # v[x] = s[(a*x + f[k]) % m]
         if k == horizon - cut - 1:
             v = [1 if c else 0 for c in v]
-    if y0 is not None:
-        count = v[y0.value]
-        return count, [y0.value] if count else []
     return sum(v), list(compress(range(m), v))
 
 

@@ -62,11 +62,11 @@ class TestBruteForcePrefixes:
     def test_pinned_start(self):
         pfx = brute_force_prefixes(MIXED, 4, y0=Residue(4, 6))
         assert all(seq[0] == 4 for seq in pfx.sequences)
-        assert count_prefixes(MIXED, 4, 1, y0=Residue(4, 6)) == (1, [4])
+        # one kept prefix once the last position is cut
+        assert len({seq[:3] for seq in pfx.sequences}) == 1
         # incompatible start: nothing survives
         empty = brute_force_prefixes(MIXED, 4, y0=Residue(2, 6))
         assert not empty.sequences
-        assert count_prefixes(MIXED, 4, 1, y0=Residue(2, 6)) == (0, [])
 
     def test_no_solutions_with_witness(self):
         pfx = brute_force_prefixes(spec_of(12, 2, 6, [1, 2, 0]), 4)
@@ -149,30 +149,28 @@ def test_count_prefixes_cut_bounds():
 
 @st.composite
 def counted_problems(draw):
-    """m <= 12, N in 1..5, periodic or aperiodic forcing (often too short), free or pinned."""
+    """m <= 12, N in 1..5, periodic or aperiodic forcing (often too short)."""
     m = draw(st.integers(2, 12))
     horizon = draw(st.integers(1, 5))
     f = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=5))
     period = draw(st.none() | st.integers(1, len(f)))
-    spec = spec_of(m, draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1)), f, period)
-    y0 = draw(st.none() | st.integers(0, m - 1).map(lambda v: Residue(v, m)))
-    return spec, horizon, y0
+    return spec_of(m, draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1)), f, period), horizon
 
 
 @given(counted_problems())
 def test_count_prefixes_matches_brute_force(problem):
-    spec, horizon, y0 = problem
+    spec, horizon = problem
     try:
-        pfx = brute_force_prefixes(spec, horizon, y0)
+        pfx = brute_force_prefixes(spec, horizon)
     except InsufficientData as exc:
         with pytest.raises(InsufficientData) as got:
-            count_prefixes(spec, horizon, 0, y0)
+            count_prefixes(spec, horizon)
         assert got.value.index == exc.index
         return
     starts = sorted({seq[0] for seq in pfx.sequences})
     for cut in range(horizon):
         kept = {seq[:horizon - cut] for seq in pfx.sequences}
-        assert count_prefixes(spec, horizon, cut, y0) == (len(kept), starts)
+        assert count_prefixes(spec, horizon, cut) == (len(kept), starts)
 
 
 def test_count_prefixes_budget():
@@ -181,19 +179,15 @@ def test_count_prefixes_budget():
     with pytest.raises(BudgetExceeded):
         count_prefixes(huge, 4, budget=1000)
     with pytest.raises(BudgetExceeded):
-        count_prefixes(huge, 4, y0=Residue(1, 2**32), budget=1000)
-    with pytest.raises(BudgetExceeded):
         count_prefixes(spec_of(6, 0, 0, [0]), 4, budget=5)
     # the forcing terms are read next, so a short support is reported before m * horizon
     with pytest.raises(InsufficientData):
         count_prefixes(spec_of(6, 0, 0, [0]), 4, budget=6)
-    # one unit per (position, residue) state, free or pinned
+    # one unit per (position, residue) state
     for horizon in range(1, 6):
-        for y0 in (None, Residue(4, 6)):
-            exact = count_prefixes(MIXED, horizon, 0, y0, budget=6 * horizon)
-            assert exact == count_prefixes(MIXED, horizon, 0, y0)
-            with pytest.raises(BudgetExceeded):
-                count_prefixes(MIXED, horizon, 0, y0, budget=6 * horizon - 1)
+        assert count_prefixes(MIXED, horizon, budget=6 * horizon) == count_prefixes(MIXED, horizon)
+        with pytest.raises(BudgetExceeded):
+            count_prefixes(MIXED, horizon, budget=6 * horizon - 1)
 
 
 def _zmdiff_imports(module: Path) -> set[str]:

@@ -11,7 +11,7 @@ horizon sets the default report depth (8). Unknown and repeated fields are
 rejected.
 
 Exit codes: 0 success, 1 no solution / verification failure / sweep
-discrepancy, 2 usage or malformed input, 3 enumeration budget exceeded,
+discrepancy, 2 usage or malformed input, 3 oracle state budget exceeded,
 4 undecidable on the given support (the answer needs forcing terms past
 an aperiodic prefix), 141 the reader closed the output pipe early.
 Output is byte-identical across runs for fixed inputs and seed.
@@ -299,7 +299,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     mode, sol, last = _solution_window(args, *_load(args))
     if sol is None:
         return EXIT_FAIL
-    values = [r.value for r in sol.sequence(last + 1, args.x10, args.alpha)]
+    values = sol.values(last + 1, args.x10, args.alpha)
     report = {
         "command": "solve",
         "mode": mode,
@@ -315,15 +315,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "last_index": last,
         "values": values,
     }
-    lines = [
+    lines = [] if args.format == "json" else [
         _kv("mode", "initial problem" if mode == "initial" else "free equation"),
         _kv("solution kind", sol.kind),
         _kv("freedom", _freedom_text(sol)),
         _kv("lookahead", sol.lookahead),
         _kv("parameters", f"x10={args.x10}, alpha={','.join(map(str, args.alpha)) or '-'}"),
+        *(_kv(f"x[{n}]", v) for n, v in enumerate(values)),
     ]
-    for n, v in enumerate(values):
-        lines.append(_kv(f"x[{n}]", v))
     _emit(report, args.format, lines)
     return EXIT_OK
 
@@ -348,8 +347,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         for i in reversed(range(last + 1)):
             rest, dg = divmod(rest, radix[i])
             alpha[i] = dg + fixed.get(i, 0)
-        values = [r.value for r in sol.sequence(last + 1, x10, alpha)]
-        rows.append({"x10": x10, "alpha": alpha, "values": values})
+        rows.append({"x10": x10, "alpha": alpha, "values": sol.values(last + 1, x10, alpha)})
     truncated = total > len(rows)
     family = "infinite" if sol.lift_digit_bound > 1 else "finite"
     report = {
@@ -365,18 +363,20 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "truncated": truncated,
         "rows": rows,
     }
-    lines = [
-        _kv("mode", "initial problem" if mode == "initial" else "free equation"),
-        _kv("freedom", _freedom_text(sol)),
-        _kv("rows", f"{len(rows)} of {total} distinct over indices 0..{last}"),
-    ]
-    for row in rows:
-        lines.append(
-            f"  x10={row['x10']} alpha={','.join(map(str, row['alpha']))}  ->  "
-            + " ".join(map(str, row["values"]))
-        )
-    if truncated:
-        lines.append(f"truncated: {family} family")
+    lines = []
+    if args.format == "text":
+        lines = [
+            _kv("mode", "initial problem" if mode == "initial" else "free equation"),
+            _kv("freedom", _freedom_text(sol)),
+            _kv("rows", f"{len(rows)} of {total} distinct over indices 0..{last}"),
+        ]
+        for row in rows:
+            lines.append(
+                f"  x10={row['x10']} alpha={','.join(map(str, row['alpha']))}  ->  "
+                + " ".join(map(str, row["values"]))
+            )
+        if truncated:
+            lines.append(f"truncated: {family} family")
     _emit(report, args.format, lines)
     return EXIT_OK
 

@@ -20,10 +20,10 @@ from .problem import ProblemSpec
 
 
 class BudgetExceeded(RuntimeError):
-    """The enumeration state budget ran out."""
+    """The oracle's state budget ran out."""
 
     def __init__(self, budget: int):
-        super().__init__(f"exceeded the enumeration budget of {budget} states")
+        super().__init__(f"exceeded the oracle budget of {budget} (position, residue) states")
         self.budget = budget
 
 
@@ -61,7 +61,7 @@ def brute_force_prefixes(
     children: list[list[int]] = [[] for _ in range(m)]
     for x in range(m):
         children[b * x % m].append(x)
-    f = [spec.forcing.term(n).value for n in range(horizon - 1)]
+    f = spec.forcing.values(0, horizon - 1)
     level = [(y0.value,)] if y0 is not None else [(x,) for x in range(m)]
     visited = len(level)
     for fk in f:
@@ -95,7 +95,7 @@ def count_prefixes(
     m, a, b = spec.m, spec.a, spec.b
     if m > budget:
         raise BudgetExceeded(budget)
-    f = [spec.forcing.term(n).value for n in range(horizon - 1)]
+    f = spec.forcing.values(0, horizon - 1)
     if m * horizon > budget:
         raise BudgetExceeded(budget)
     bx = [b * x % m for x in range(m)]

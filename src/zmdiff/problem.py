@@ -60,15 +60,19 @@ class SequenceSpec:
         return self.terms[0].modulus
 
     def term(self, n: int) -> Residue:
-        if n < 0:
-            raise ValueError(f"forcing index must be non-negative, got {n}")
-        if n < len(self.terms):
+        if 0 <= n < len(self.terms):
             return self.terms[n]
-        if self.period is None:
-            raise InsufficientData(n)
-        # fold n into the final period window of the prefix
-        start = len(self.terms) - self.period
-        return self.terms[start + (n - start) % self.period]
+        return Residue(self.values(n, n + 1)[0], self.modulus)
+
+    def values(self, lo: int, hi: int) -> list[int]:
+        """f[lo..hi-1] as ints; raises InsufficientData where term() would first raise it."""
+        if lo < 0:
+            raise ValueError(f"forcing index must be non-negative, got {lo}")
+        terms, size, p = self.terms, len(self.terms), self.period
+        if p is None and hi > max(lo, size):
+            raise InsufficientData(max(lo, size))
+        start = size - (p or 0)  # past the prefix, indices fold into its final period window
+        return [terms[n if n < size else start + (n - start) % p].value for n in range(lo, hi)]
 
 
 @dataclass(frozen=True)

@@ -157,14 +157,15 @@ def refusal(verdict: Classification | InitialClassification) -> str:
 class GeneralSolution:
     """Every solution of a (solvable) problem, as an evaluator over free parameters.
 
-    value(n, x10, alpha) returns x[n] mod modulus, where x10 ranges over
-    [0, free_initial_modulus) and alpha[i] supplies the lift digit for index
-    i (missing digits default to 0; digits pinned by an initial condition
-    override the caller's). sequence(length, x10, alpha) returns x[0..length-1].
-    Both read Structure.window, started at x10 plus the pinned start residue
-    mod m1', and add alpha[n]*m' when d > 1. Evaluating index n consumes
-    forcing terms up through n + lookahead; a window costs one step per
-    value plus lookahead, and value(n) steps n times in O(lookahead) memory.
+    values(length, x10, alpha) returns x[0..length-1] as ints, where x10 ranges
+    over [0, free_initial_modulus) and alpha[i] supplies the lift digit for
+    index i (missing digits default to 0; digits pinned by an initial condition
+    override the caller's); value(n, ...) and sequence(length, ...) return
+    Residues, the only ones built here. All read Structure.window, started at
+    x10 plus the pinned start residue mod m1', and add alpha[n]*m' when d > 1.
+    Evaluating index n consumes forcing terms up through n + lookahead; a window
+    costs one step per value plus lookahead, and value(n) steps n times in
+    O(lookahead) memory.
     """
 
     kind: str  # "explicit" | "nilpotent" | "mixed" | "lifted"
@@ -179,12 +180,15 @@ class GeneralSolution:
     def value(self, n: int, x10: int = 0, alpha: Sequence[int] = ()) -> Residue:
         if n < 0:
             raise ValueError(f"index must be non-negative, got {n}")
-        return self._window(n, 1, x10, alpha)[0]
+        return Residue(self._window(n, 1, x10, alpha)[0], self.modulus)
 
     def sequence(self, length: int, x10: int = 0, alpha: Sequence[int] = ()) -> list[Residue]:
+        return [Residue(x, self.modulus) for x in self.values(length, x10, alpha)]
+
+    def values(self, length: int, x10: int = 0, alpha: Sequence[int] = ()) -> list[int]:
         return self._window(0, length, x10, alpha) if length > 0 else []
 
-    def _window(self, start: int, length: int, x10: int, alpha: Sequence[int]) -> list[Residue]:
+    def _window(self, start: int, length: int, x10: int, alpha: Sequence[int]) -> list[int]:
         """x[start..start+length-1]; of the errors along it, the one at the lowest index wins."""
         if not 0 <= x10 < self.free_initial_modulus:
             raise ValueError(f"free initial residue {x10} not in [0, {self.free_initial_modulus})")
@@ -199,7 +203,7 @@ class GeneralSolution:
                 xs[n - start] += digit * st.psplit.m
         if error is not None:
             raise error
-        return [Residue(x, self.modulus) for x in xs]
+        return xs
 
 
 @dataclass(frozen=True)
@@ -272,7 +276,7 @@ class Structure:
         """x'[start..start+length-1] mod m' of the equation divided by d, started at x10 mod m1'.
 
         Needs witness None and length >= 1. The m1' side steps
-        x[k+1] = b'^-1 (a' x[k] + f'[k]) forward from x10, storing nothing
+        x[k+1] = b'^-1 (a' x[k] + f'[k]) forward from x10, in constant memory
         before start. The m2' side is the weighted sum of f'[n..n+ind'-1] at
         the window's last index n, stepped back by x[k] = a'^-1 (b' x[k+1] - f'[k]).
         The CRT units join them; f'[k] = f[k] / d, each read once. On an
@@ -294,10 +298,11 @@ class Structure:
         n = stop - start
         if n == 0 or mp == 1:  # m' == 1 reads no forcing term
             return [0] * n, error
-        f = [forcing.term(k).value // d for k in range(start, stop + ind - 1)]
-        # step the m1' side to start; a trivial m1' side is 0 at every index
-        x1 = reduce(lambda x, k: binv * (a * x + forcing.term(k).value // d) % m1,
-                    range(start if m1 > 1 else 0), x10 % m1)
+        f = [v // d for v in forcing.values(start, stop + ind - 1)]
+        # step the m1' side to start, 4096 terms at a time; a trivial m1' side is 0 throughout
+        head = (fk for lo in range(0, start if m1 > 1 else 0, 4096)
+                for fk in forcing.values(lo, min(lo + 4096, start)))
+        x1 = reduce(lambda x, fk: binv * (a * x + fk // d) % m1, head, x10 % m1)
         x2 = sum(map(mul, weights, f[n - 1 :])) % m2
         out = [x2] * n
         for j in range(n - 2, -1, -1):

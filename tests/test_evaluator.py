@@ -3,18 +3,21 @@
 Structure.window evaluates a whole window on ints: it steps the invertible
 side forward once and the nilpotent side back from one weighted sum at the
 window's last index. These tests hold it to verify_solution, to the
-per-index value() loop (values and errors alike) and to the reference
-closed forms (explicit_solution, nilpotent_solution, combine) on the
-gcd-reduced problem, including at the documented bounds and long horizons.
+per-index value() loop and the int evaluator values() (values and errors
+alike) and to the reference closed forms (explicit_solution,
+nilpotent_solution, combine) on the gcd-reduced problem, including at the
+documented bounds and long horizons.
 """
 
 import contextlib
 import io
 import json
 import math
+import re
 import time
 import tracemalloc
 
+import pytest
 from hypothesis import assume, given, strategies as st
 
 from zmdiff.cli import main
@@ -133,9 +136,12 @@ def test_window_matches_the_per_index_loop(case, length):
     except (LookupError, ValueError) as exc:
         assert first_error is not None, f"sequence raised {exc!r}, value() did not"
         assert (type(exc), str(exc)) == (type(first_error), str(first_error))
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            sol.values(length, x10, alpha)
         return
     assert first_error is None, f"value() raised {first_error!r}, sequence did not"
     assert window == looped
+    assert sol.values(length, x10, alpha) == [r.value for r in window]
     # a transition past an aperiodic support has no forcing term to check against
     checked = window if spec.forcing.period else window[: len(spec.forcing.terms) + 1]
     assert verify_solution(spec, checked, y0) == (True, None)

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from zmdiff.modring import (
+    FACTOR_LIMIT,
     Factorization,
     InvalidModulus,
     ModulusMismatch,
@@ -83,6 +85,57 @@ def test_factorize_known_values():
     assert factorize(64) == Factorization(64, ((2, 6),))
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def trial_division(n: int) -> Factorization:
+    """The reference factorization: divide by 2 and every odd number up to sqrt(rest)."""
+    rest = n
+    out: list[tuple[int, int]] = []
+    for p in itertools.chain((2,), itertools.count(3, 2)):
+        if p * p > rest:
+            break
+        k = 0
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        if k:
+            out.append((p, k))
+    if rest > 1:
+        out.append((rest, 1))
+    return Factorization(n, tuple(out))
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        1,
+        2**32,
+        2**32 - 1,
+        4294967291,  # the largest prime below 2**32
+        2**31 - 1,
+        65519 * 65521,  # the two largest primes below 2**16
+        65521**2,
+        3**20,
+        3215031751,  # 151 * 751 * 28351, a strong pseudoprime to the bases 2, 3, 5 and 7
+    ],
+)
+def test_factorize_matches_trial_division_at_the_edges(n):
+    assert factorize(n) == trial_division(n)
+
+
+@given(st.integers(1, 2**32))
+def test_factorize_matches_trial_division(n):
+    assert factorize(n) == trial_division(n)
+
+
+def test_factorize_refuses_past_its_exact_bound():
+    # the bound is the least strong pseudoprime to all twelve bases, so the
+    # primality test would take it for a prime
+    assert FACTOR_LIMIT == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match=str(FACTOR_LIMIT)):
+        factorize(FACTOR_LIMIT)
+    below = factorize(FACTOR_LIMIT - 1)
+    assert math.prod(p**k for p, k in below.factors) == FACTOR_LIMIT - 1
 
 
 @given(st.integers(1, 10**6))

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from zmdiff.modring import ModulusMismatch, Residue
 from zmdiff.problem import (
@@ -49,6 +50,26 @@ class TestSequenceSpec:
             SequenceSpec.from_ints([1, 2], 6, period=3)
         with pytest.raises(ValueError):
             SequenceSpec.from_ints([1, 2], 6, period=0)
+
+
+@given(st.lists(st.integers(0, 11), min_size=1, max_size=6), st.data())
+def test_values_read_what_term_reads(raw, data):
+    # the same ints, or InsufficientData at the same index, periodic or not
+    period = data.draw(st.none() | st.integers(1, len(raw)))
+    f = SequenceSpec.from_ints(raw, 12, period)
+    lo = data.draw(st.integers(0, 10))
+    hi = data.draw(st.integers(0, 16))
+    extended = list(raw)  # by the definition f[n] = f[n - period] past the prefix
+    while period and len(extended) < hi:
+        extended.append(extended[-period])
+    try:
+        expected = [f.term(k).value for k in range(lo, hi)]
+    except InsufficientData as exc:
+        with pytest.raises(InsufficientData) as err:
+            f.values(lo, hi)
+        assert err.value.index == exc.index == next(k for k in range(lo, hi) if k >= len(raw))
+        return
+    assert f.values(lo, hi) == expected == extended[lo:hi]
 
 
 class TestProblemSpec:

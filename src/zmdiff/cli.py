@@ -26,6 +26,7 @@ import math
 import os
 import random
 import sys
+from itertools import islice, product
 from typing import Any
 
 from .modring import Residue
@@ -334,20 +335,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if sol is None:
         return EXIT_FAIL
     fixed = dict(sol.fixed_digits)
-    radix = [1 if i in fixed else sol.lift_digit_bound for i in range(last + 1)]
-    block = math.prod(radix)
-    total = sol.free_initial_modulus * block
-    rows = []
+    digits = [range(fixed[i], fixed[i] + 1) if i in fixed else range(sol.lift_digit_bound)
+              for i in range(last + 1)]
+    total = sol.free_initial_modulus * math.prod(map(len, digits))
     # x10 major, then digit vectors lexicographic with the lowest index most
-    # significant; decoded from the row ordinal so nothing is materialized.
-    # A fixed digit has radix 1: its decoded digit is 0, offset by the fixed value.
-    for ordinal in range(min(args.max, total)):
-        x10, rest = divmod(ordinal, block)
-        alpha = [0] * (last + 1)
-        for i in reversed(range(last + 1)):
-            rest, dg = divmod(rest, radix[i])
-            alpha[i] = dg + fixed.get(i, 0)
-        rows.append({"x10": x10, "alpha": alpha, "values": sol.values(last + 1, x10, alpha)})
+    # significant, generated lazily: an infinite family has d**(last+1) of them
+    choices = ((x10, alpha) for x10 in range(sol.free_initial_modulus)
+               for alpha in product(*digits))
+    rows = [{"x10": x10, "alpha": list(alpha), "values": sol.values(last + 1, x10, alpha)}
+            for x10, alpha in islice(choices, args.max)]
     truncated = total > len(rows)
     family = "infinite" if sol.lift_digit_bound > 1 else "finite"
     report = {
@@ -398,7 +394,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             detail = (
                 f"transition {idx} violated: "
                 f"{spec.b}*{seq[idx + 1].value} != {spec.a}*{seq[idx].value}"
-                f" + {spec.forcing.term(idx).value} (mod {spec.m})"
+                f" + {spec.forcing.values(idx, idx + 1)[0]} (mod {spec.m})"
             )
     report = {
         "command": "verify",
@@ -529,9 +525,9 @@ def _audit_cell(
     out: list[dict],
 ) -> None:
     m = spec.m
-    f = [t.value for t in spec.forcing.terms]
 
     def flag(kind: str, **detail: Any) -> None:
+        f = list(spec.forcing.terms)
         out.append({"kind": kind, "m": m, "a": spec.a, "b": spec.b, "f": f, **detail})
 
     st = structure(spec)

@@ -16,14 +16,14 @@ from itertools import compress
 from operator import itemgetter
 
 from .modring import ModulusMismatch, Residue
-from .problem import ProblemSpec
+from .problem import InsufficientData, ProblemSpec
 
 
 class BudgetExceeded(RuntimeError):
-    """The oracle's state budget ran out."""
+    """The oracle's budget ran out; unit names what one unit of it pays for."""
 
-    def __init__(self, budget: int):
-        super().__init__(f"exceeded the oracle budget of {budget} (position, residue) states")
+    def __init__(self, budget: int, unit: str = "(position, residue) states"):
+        super().__init__(f"exceeded the oracle budget of {budget} {unit}")
         self.budget = budget
 
 
@@ -56,7 +56,7 @@ def brute_force_prefixes(
     if y0 is not None and y0.modulus != m:
         raise ModulusMismatch(f"initial value {y0} is not a residue mod {m}")
     if m > budget:
-        raise BudgetExceeded(budget)
+        raise BudgetExceeded(budget, "partial prefixes")
     # successor table: children[r] lists all x with b*x == r (mod m), ascending
     children: list[list[int]] = [[] for _ in range(m)]
     for x in range(m):
@@ -68,7 +68,7 @@ def brute_force_prefixes(
         succ = [children[(a * p[-1] + fk) % m] for p in level]
         visited += sum(map(len, succ))
         if visited > budget:
-            raise BudgetExceeded(budget)
+            raise BudgetExceeded(budget, "partial prefixes")
         level = [p + (x,) for p, xs in zip(level, succ) for x in xs]
     return PrefixSet(horizon, m, frozenset(level))
 
@@ -120,7 +120,8 @@ def verify_solution(
 
     Returns (True, None) or (False, first failing index); a start-value
     mismatch reports index 0. Sequences of length < 2 impose no transition
-    constraints.
+    constraints. A candidate longer than an aperiodic support raises
+    InsufficientData, but only once every transition the support covers holds.
     """
     m = spec.m
     for r in seq:
@@ -128,9 +129,14 @@ def verify_solution(
             raise ModulusMismatch(f"candidate mixes moduli: expected {m}, got {r}")
     if y0 is not None and len(seq) > 0 and seq[0].value != y0.value % m:
         return False, 0
-    for n in range(len(seq) - 1):
-        lhs = (spec.b * seq[n + 1].value) % m
-        rhs = (spec.a * seq[n].value + spec.forcing.term(n).value) % m
-        if lhs != rhs:
+    xs = [r.value for r in seq]
+    try:
+        f, short = spec.forcing.values(0, len(xs) - 1), None
+    except InsufficientData as exc:  # the transitions the support covers are checked first
+        f, short = spec.forcing.values(0, exc.index), exc
+    for n, fn in enumerate(f):
+        if (spec.b * xs[n + 1] - spec.a * xs[n] - fn) % m:
             return False, n
+    if short is not None:
+        raise short
     return True, None

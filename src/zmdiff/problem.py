@@ -36,43 +36,38 @@ class InvalidLiftDigit(ValueError):
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """Forcing terms f[0..N-1]; if period p is set, f[n+p] == f[n] for n >= N-p."""
+    """Forcing terms f[0..N-1] as canonical ints mod modulus; if period p is set,
+    f[n+p] == f[n] for n >= N-p. Only term() wraps a term in a Residue."""
 
-    terms: tuple[Residue, ...]
+    terms: tuple[int, ...]
+    modulus: int
     period: int | None = None
 
     def __post_init__(self) -> None:
         if not self.terms:
             raise ValueError("a forcing sequence needs at least one term")
-        m = self.terms[0].modulus
-        for t in self.terms:
-            if t.modulus != m:
-                raise ModulusMismatch(f"forcing terms mix moduli {m} and {t.modulus}")
+        if not isinstance(self.modulus, int) or self.modulus < 1:
+            raise InvalidModulus(f"modulus must be a positive integer, got {self.modulus!r}")
+        object.__setattr__(self, "terms", tuple(t % self.modulus for t in self.terms))
         if self.period is not None and not 1 <= self.period <= len(self.terms):
             raise ValueError(f"period must lie in [1, {len(self.terms)}], got {self.period}")
 
     @classmethod
     def from_ints(cls, values: Sequence[int], modulus: int, period: int | None = None) -> SequenceSpec:
-        return cls(tuple(Residue(v, modulus) for v in values), period)
-
-    @property
-    def modulus(self) -> int:
-        return self.terms[0].modulus
+        return cls(tuple(values), modulus, period)
 
     def term(self, n: int) -> Residue:
-        if 0 <= n < len(self.terms):
-            return self.terms[n]
         return Residue(self.values(n, n + 1)[0], self.modulus)
 
     def values(self, lo: int, hi: int) -> list[int]:
-        """f[lo..hi-1] as ints; raises InsufficientData where term() would first raise it."""
+        """f[lo..hi-1]; past an aperiodic support, InsufficientData at its first missing index."""
         if lo < 0:
             raise ValueError(f"forcing index must be non-negative, got {lo}")
         terms, size, p = self.terms, len(self.terms), self.period
         if p is None and hi > max(lo, size):
             raise InsufficientData(max(lo, size))
         start = size - (p or 0)  # past the prefix, indices fold into its final period window
-        return [terms[n if n < size else start + (n - start) % p].value for n in range(lo, hi)]
+        return [terms[n if n < size else start + (n - start) % p] for n in range(lo, hi)]
 
 
 @dataclass(frozen=True)
@@ -125,10 +120,7 @@ def first_nondivisible_index(forcing: SequenceSpec, d: int) -> int | None:
     """
     if d == 1:
         return None
-    for n, t in enumerate(forcing.terms):
-        if t.value % d != 0:
-            return n
-    return None
+    return next((n for n, t in enumerate(forcing.terms) if t % d), None)
 
 
 def reduce_by_gcd(spec: ProblemSpec) -> ReducedSpec:
@@ -143,7 +135,6 @@ def reduce_by_gcd(spec: ProblemSpec) -> ReducedSpec:
     if witness is not None:
         raise NonDivisibleForcing(witness)
     mp = spec.m // d
-    reduced_terms = tuple(Residue(t.value // d, mp) for t in spec.forcing.terms)
-    forcing = SequenceSpec(reduced_terms, spec.forcing.period)
+    forcing = SequenceSpec(tuple(t // d for t in spec.forcing.terms), mp, spec.forcing.period)
     return ReducedSpec(d, mp, spec.a // d, spec.b // d, forcing)
 

@@ -57,12 +57,8 @@ def _components(problem: ProblemSpec, split: SplitModuli, ind_b2: int | None) ->
     """Project the coefficients and the forcing of an equation onto both sides of a split."""
 
     def side(modulus: int) -> tuple[Residue, Residue, SequenceSpec]:
-        terms = tuple(Residue(t.value, modulus) for t in problem.forcing.terms)
-        return (
-            Residue(problem.a, modulus),
-            Residue(problem.b, modulus),
-            SequenceSpec(terms, problem.forcing.period),
-        )
+        f = SequenceSpec(problem.forcing.terms, modulus, problem.forcing.period)
+        return Residue(problem.a, modulus), Residue(problem.b, modulus), f
 
     return SplitProblem(crt_iso(split), *side(split.m1), *side(split.m2), ind_b2)
 

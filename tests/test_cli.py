@@ -12,6 +12,7 @@ from zmdiff.cli import (
     run_uniqueness_sweep,
     run_oracle_sweep,
 )
+from zmdiff.modring import Residue
 from zmdiff.problem import SequenceSpec
 
 EX1 = {"m": 6, "a": 2, "b": 3, "f": [1, 2, 0, 1], "f_period": 4}
@@ -397,3 +398,27 @@ def test_sweep_engines_are_deterministic():
     assert a["ok"] and a["cells"] == sum(m * m for m in range(2, 5)) * 2
     c = run_uniqueness_sweep(6, 2, 9)
     assert c["ok"] and c["cells"] == sum(m * m for m in range(2, 7))
+
+
+def test_solve_builds_residues_independently_of_the_forcing_length_and_horizon(
+    capsys, monkeypatch
+):
+    # wrapped the way the benchmark counts residues: forcing terms and solution values are ints
+    built = []
+    original = Residue.__post_init__
+
+    def counted(self):
+        built.append(1)
+        original(self)
+
+    monkeypatch.setattr(Residue, "__post_init__", counted)
+    counts = set()
+    for f in ([1, 2, 0, 1], [1, 2, 0, 1] * 75):
+        for horizon in (8, 2000):
+            doc = {**EX1, "f": f, "horizon": horizon}
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+            built.clear()
+            assert main(["solve", "--format", "json"]) == 0
+            assert len(json.loads(capsys.readouterr().out)["values"]) == horizon + 1
+            counts.add(len(built))
+    assert len(counts) == 1

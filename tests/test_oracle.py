@@ -99,6 +99,17 @@ class TestBruteForcePrefixes:
         ]
 
 
+def test_each_budget_message_names_its_own_unit():
+    # the brute force charges a valid partial prefix, the counter a (position, residue) state
+    with pytest.raises(BudgetExceeded, match="^exceeded the oracle budget of 8 partial prefixes$"):
+        brute_force_prefixes(MIXED, 6, budget=8)
+    with pytest.raises(
+        BudgetExceeded,
+        match=r"^exceeded the oracle budget of 8 \(position, residue\) states$",
+    ):
+        count_prefixes(MIXED, 6, budget=8)
+
+
 def test_short_support_is_reported_before_the_budget():
     # f[1..2] are missing; a lazy read would run out of budget at length 2 (36 prefixes) first
     with pytest.raises(InsufficientData):
@@ -236,3 +247,12 @@ class TestVerifySolution:
     def test_modulus_checked(self):
         with pytest.raises(ModulusMismatch):
             verify_solution(MIXED, [Residue(0, 5)])
+
+
+def test_verify_reports_a_failure_before_the_end_of_an_aperiodic_support():
+    # f = [1, 2] covers transitions 0 and 1; a third needs f[2]
+    short = spec_of(6, 2, 3, [1, 2])
+    assert verify_solution(short, [Residue(v, 6) for v in (4, 5, 1, 4)]) == (False, 1)
+    with pytest.raises(InsufficientData) as err:
+        verify_solution(short, [Residue(v, 6) for v in (4, 5, 0, 4)])
+    assert err.value.index == 2

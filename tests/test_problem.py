@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from zmdiff.modring import ModulusMismatch, Residue
+from zmdiff.modring import InvalidModulus, ModulusMismatch, Residue
 from zmdiff.problem import (
     InsufficientData,
     InvalidLiftDigit,
@@ -43,9 +43,10 @@ class TestSequenceSpec:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SequenceSpec(())
-        with pytest.raises(ModulusMismatch):
-            SequenceSpec((Residue(1, 2), Residue(1, 3)))
+            SequenceSpec((), 6)
+        with pytest.raises(InvalidModulus):
+            SequenceSpec((1, 2), 0)
+        assert SequenceSpec((-1, 8), 6).terms == (5, 2)
         with pytest.raises(ValueError):
             SequenceSpec.from_ints([1, 2], 6, period=3)
         with pytest.raises(ValueError):
@@ -102,7 +103,7 @@ class TestReduceByGcd:
         spec = ProblemSpec(12, 2, 6, SequenceSpec.from_ints([2, 4, 0], 12, period=3))
         red = reduce_by_gcd(spec)
         assert (red.d, red.m, red.a, red.b) == (2, 6, 1, 3)
-        assert [t.value for t in red.forcing.terms] == [1, 2, 0]
+        assert red.forcing.terms == (1, 2, 0)
         assert red.forcing.period == 3
 
     def test_trivial_when_coprime(self):

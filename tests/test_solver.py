@@ -44,8 +44,8 @@ def test_split_problem_components():
     assert (sp.a1, sp.b1) == (Residue(0, 2), Residue(1, 2))
     assert (sp.a2, sp.b2) == (Residue(2, 3), Residue(0, 3))
     assert sp.ind_b2 == 1
-    assert [t.value for t in sp.f1.terms] == [1, 0, 0, 1]
-    assert [t.value for t in sp.f2.terms] == [1, 2, 0, 1]
+    assert sp.f1.terms == (1, 0, 0, 1)
+    assert sp.f2.terms == (1, 2, 0, 1)
 
 
 def test_explicit_solution_satisfies_transitions():

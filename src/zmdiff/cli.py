@@ -379,28 +379,26 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec, y0, _ = _load(args)
-    candidate = args.candidate
-    if len(candidate) < 2:
+    if len(args.candidate) < 2:
         raise ValueError("candidate needs at least 2 values")
+    xs = [v % spec.m for v in args.candidate]
+    pinned = y0 % spec.m if y0 is not None else None
     # a candidate longer than the forcing support raises InsufficientData -> exit 4
-    seq = [Residue(v, spec.m) for v in candidate]
-    pinned = Residue(y0, spec.m) if y0 is not None else None
-    ok, idx = verify_solution(spec, seq, pinned)
+    ok, idx = verify_solution(spec, xs, pinned)
     detail = "all transitions satisfied"
     if not ok:
-        if idx == 0 and pinned is not None and seq[0].value != pinned.value:
-            detail = f"start value mismatch: expected {pinned.value}, got {seq[0].value}"
+        if idx == 0 and pinned is not None and xs[0] != pinned:
+            detail = f"start value mismatch: expected {pinned}, got {xs[0]}"
         else:
             detail = (
-                f"transition {idx} violated: "
-                f"{spec.b}*{seq[idx + 1].value} != {spec.a}*{seq[idx].value}"
+                f"transition {idx} violated: {spec.b}*{xs[idx + 1]} != {spec.a}*{xs[idx]}"
                 f" + {spec.forcing.values(idx, idx + 1)[0]} (mod {spec.m})"
             )
     report = {
         "command": "verify",
         "m": spec.m,
-        "candidate": [r.value for r in seq],
-        "y0": pinned.value if pinned is not None else None,
+        "candidate": xs,
+        "y0": pinned,
         "pass": ok,
         "failing_index": idx,
         "detail": detail,
@@ -560,20 +558,19 @@ def _audit_cell(
             alphas = [[]]
         for x10 in x10s:
             for alpha in alphas:
-                seq = sol.sequence(seq_len, x10, alpha)
-                ok, idx = verify_solution(spec, seq)
+                ok, idx = verify_solution(spec, sol.values(seq_len, x10, alpha))
                 row["sequence_checks"] += 1
                 if not ok:
                     flag("sequence", x10=x10, alpha=list(alpha), failing_index=idx)
         if starts:
             y0v = starts[0]
-            icls = st.classify_initial(Residue(y0v, m))
+            y0 = Residue(y0v, m)
+            icls = st.classify_initial(y0)
             if icls.kind == "none":
                 flag("initial_classify", y0=y0v, verdict=icls.kind)
             else:
-                isol = st.solution(Residue(y0v, m))
-                iseq = isol.sequence(horizon - isol.lookahead)
-                ok, idx = verify_solution(spec, iseq, Residue(y0v, m))
+                isol = st.solution(y0)
+                ok, idx = verify_solution(spec, isol.values(horizon - isol.lookahead), y0v)
                 row["initial_checks"] += 1
                 if not ok:
                     flag("initial_sequence", y0=y0v, failing_index=idx)

@@ -5,7 +5,7 @@ paths (no splitting, no closed forms), so it can serve as an independent
 check of the solver. A length-N prefix is constrained only by the
 transitions n = 0..N-2, so its last positions are not yet pinned by the
 infinite problem; count_prefixes drops that tail when told its depth (the
-solver knows how deep it is).
+solver knows how deep it is). verify_solution checks a candidate of plain ints.
 """
 
 from __future__ import annotations
@@ -113,23 +113,24 @@ def count_prefixes(
 
 def verify_solution(
     spec: ProblemSpec,
-    seq: Sequence[Residue],
-    y0: Residue | None = None,
+    xs: Sequence[int],
+    y0: int | None = None,
 ) -> tuple[bool, int | None]:
-    """Check a candidate against every transition (and the pinned start, if any).
+    """Check a candidate x[0..], ints in [0, m), against every transition (and
+    the pinned start y0 mod m, if any).
 
     Returns (True, None) or (False, first failing index); a start-value
-    mismatch reports index 0. Sequences of length < 2 impose no transition
-    constraints. A candidate longer than an aperiodic support raises
-    InsufficientData, but only once every transition the support covers holds.
+    mismatch reports index 0, a value outside [0, m) raises ModulusMismatch.
+    Sequences of length < 2 impose no transition constraints. A candidate
+    longer than an aperiodic support raises InsufficientData, but only once
+    every transition the support covers holds.
     """
     m = spec.m
-    for r in seq:
-        if r.modulus != m:
-            raise ModulusMismatch(f"candidate mixes moduli: expected {m}, got {r}")
-    if y0 is not None and len(seq) > 0 and seq[0].value != y0.value % m:
+    if xs and not 0 <= min(xs) <= max(xs) < m:
+        n, x = next((n, x) for n, x in enumerate(xs) if not 0 <= x < m)
+        raise ModulusMismatch(f"candidate value x[{n}] = {x} is not a residue in [0, {m})")
+    if y0 is not None and xs and xs[0] != y0 % m:
         return False, 0
-    xs = [r.value for r in seq]
     try:
         f, short = spec.forcing.values(0, len(xs) - 1), None
     except InsufficientData as exc:  # the transitions the support covers are checked first

@@ -3,17 +3,18 @@
 The split of Z_m by b separates the equation into an invertible-b part
 (solvable forward and backward from any start value) and a nilpotent-b part
 (one forced value per index, read off a finite window of future forcing
-terms). Everything else is bookkeeping, derived once per problem in a
-Structure: dividing through by d = gcd(a, b, m) gives an equation mod m/d
-that splits the same way, and the information lost by the division comes
-back as one free lift digit per index.
+terms). Everything else is bookkeeping, derived once per (m, a, b) in a
+Shape that every forcing shares: dividing through by d = gcd(a, b, m) gives
+an equation mod m/d that splits the same way, and the information lost by
+the division comes back as one free lift digit per index.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import mul
 
 from .crt import CrtIso, SplitModuli, crt_iso, split_modulus
@@ -53,19 +54,15 @@ class SplitProblem:
     ind_b2: int | None  # nilpotency index of b2; None when the m2 side is trivial
 
 
-def _components(problem: ProblemSpec, split: SplitModuli, ind_b2: int | None) -> SplitProblem:
-    """Project the coefficients and the forcing of an equation onto both sides of a split."""
+def split_problem(spec: ProblemSpec) -> SplitProblem:
+    """Project the coefficients and the forcing of an equation onto both sides of its split by b."""
+    sh = shape(spec.m, spec.a, spec.b)
 
     def side(modulus: int) -> tuple[Residue, Residue, SequenceSpec]:
-        f = SequenceSpec(problem.forcing.terms, modulus, problem.forcing.period)
-        return Residue(problem.a, modulus), Residue(problem.b, modulus), f
+        f = SequenceSpec(spec.forcing.terms, modulus, spec.forcing.period)
+        return Residue(spec.a, modulus), Residue(spec.b, modulus), f
 
-    return SplitProblem(crt_iso(split), *side(split.m1), *side(split.m2), ind_b2)
-
-
-def split_problem(spec: ProblemSpec) -> SplitProblem:
-    st = structure(spec)
-    return _components(spec, st.split, st.ind_b2)
+    return SplitProblem(crt_iso(sh.split), *side(sh.split.m1), *side(sh.split.m2), sh.ind_b2)
 
 
 def explicit_solution(a1: Residue, b1: Residue, x10: Residue, f1: SequenceSpec, n: int) -> Residue:
@@ -188,48 +185,42 @@ class GeneralSolution:
         """x[start..start+length-1]; of the errors along it, the one at the lowest index wins."""
         if not 0 <= x10 < self.free_initial_modulus:
             raise ValueError(f"free initial residue {x10} not in [0, {self.free_initial_modulus})")
-        st = self._structure
-        xs, error = st.window(start, length, x10 + self._pin)
-        if st.d > 1:
+        xs, error = self._structure.window(start, length, x10 + self._pin)
+        sh = self._structure.shape
+        if sh.d > 1:
             fixed = dict(self.fixed_digits)
             for n in range(start, start + len(xs)):
                 digit = fixed.get(n, alpha[n] if n < len(alpha) else 0)
-                if not 0 <= digit < st.d:
-                    raise InvalidLiftDigit(f"lift digit {digit} at index {n} not in [0, {st.d})")
-                xs[n - start] += digit * st.psplit.m
+                if not 0 <= digit < sh.d:
+                    raise InvalidLiftDigit(f"lift digit {digit} at index {n} not in [0, {sh.d})")
+                xs[n - start] += digit * sh.psplit.m
         if error is not None:
             raise error
         return xs
 
 
 @dataclass(frozen=True)
-class Structure:
-    """The split and gcd-reduction data of one problem, which every verdict reads.
+class Shape:
+    """What (m, a, b) alone decide: d = gcd(a, b, m), m split by b (split) and m' = m/d
+    split by b/d (psplit, the same object when d == 1); the rest is derived on first use."""
 
-    d = gcd(a, b, m); split is m split by b; psplit is m' = m/d split by
-    b/d, the same object as split when d == 1. witness is the first prefix
-    index whose forcing term d does not divide. The nilpotency indices, the
-    evaluator's constants and the compatibility residue are derived on
-    first use, so a caller that needs only the split never pays for them.
-    """
-
-    spec: ProblemSpec
+    a: int
+    b: int
     d: int
     split: SplitModuli
     psplit: SplitModuli
-    witness: int | None
 
     @cached_property
     def ind_b2(self) -> int | None:
         """Nilpotency index of b mod m2; None when the m2 side is trivial."""
         m2 = self.split.m2
-        return nilpotency_index(Residue(self.spec.b, m2)) if m2 != 1 else None
+        return nilpotency_index(Residue(self.b, m2)) if m2 != 1 else None
 
     @cached_property
     def ind_b2_prime(self) -> int | None:
         """Nilpotency index of b/d mod m2'; None when the m2' side is trivial."""
         m2 = self.psplit.m2
-        return nilpotency_index(Residue(self.spec.b // self.d, m2)) if m2 != 1 else None
+        return nilpotency_index(Residue(self.b // self.d, m2)) if m2 != 1 else None
 
     @property
     def truncation(self) -> int:
@@ -262,11 +253,37 @@ class Structure:
         for s < ind' and the CRT units u1, u2; pow(x, -1, 1) == 0 zeroes a trivial side.
         """
         m1, m2 = self.psplit.m1, self.psplit.m2
-        a, b = self.spec.a // self.d, self.spec.b // self.d
+        a, b = self.a // self.d, self.b // self.d
         ainv = pow(a, -1, m2)
         weights = tuple(-pow(ainv, s + 1, m2) * pow(b, s, m2) % m2 for s in range(self.truncation))
         iso = crt_iso(self.psplit)
         return a, b, pow(b, -1, m1), ainv, weights, m2 * iso.e1, m1 * iso.e2
+
+
+@lru_cache(maxsize=1024)  # every cell of `sweep --m-max 12`, which its uniqueness sweep reuses
+def shape(m: int, a: int, b: int) -> Shape:
+    """The Shape of b*x[n+1] = a*x[n] + f[n] (mod m), for a and b reduced mod m."""
+    d = math.gcd(a, b, m)
+    split = split_modulus(factorize(m), b)
+    psplit = split if d == 1 else split_modulus(factorize(m // d), b // d)
+    return Shape(a, b, d, split, psplit)
+
+
+@dataclass(frozen=True)
+class Structure:
+    """One problem: its Shape, shared with every forcing and read through by name, and the
+    first prefix index whose forcing term d does not divide, which every verdict reads."""
+
+    spec: ProblemSpec
+    shape: Shape
+    witness: int | None
+
+    d = property(lambda self: self.shape.d)
+    split = property(lambda self: self.shape.split)
+    psplit = property(lambda self: self.shape.psplit)
+    ind_b2 = property(lambda self: self.shape.ind_b2)
+    ind_b2_prime = property(lambda self: self.shape.ind_b2_prime)
+    truncation = property(lambda self: self.shape.truncation)
 
     def window(self, start: int, length: int, x10: int) -> tuple[list[int], LookupError | None]:
         """x'[start..start+length-1] mod m' of the equation divided by d, started at x10 mod m1'.
@@ -280,9 +297,10 @@ class Structure:
         past it, and that index's error comes back with them: InsufficientData
         from the m1' side or when m' == 1, otherwise InsufficientLookahead.
         """
-        a, b, binv, ainv, weights, u1, u2 = self._kernel
-        m1, m2, mp, ind = self.psplit.m1, self.psplit.m2, self.psplit.m, len(weights)
-        forcing, d = self.spec.forcing, self.d
+        sh = self.shape
+        a, b, binv, ainv, weights, u1, u2 = sh._kernel
+        m1, m2, mp, ind = sh.psplit.m1, sh.psplit.m2, sh.psplit.m, len(weights)
+        forcing, d = self.spec.forcing, sh.d
         stop, error = start + length, None
         if forcing.period is None:
             # index n rests on f[0..n-1] and f'[n..n+ind'-1], so it needs n <= len(f) - ind'
@@ -361,20 +379,17 @@ class Structure:
         verdict = self.classify() if y0 is None else self.classify_initial(y0)
         if verdict.kind == "none":
             raise ValueError(refusal(verdict))
-        m1, mp = self.psplit.m1, self.psplit.m
-        fixed = ((0, y0.value // mp),) if y0 is not None and self.d > 1 else ()
+        sh = self.shape
+        m1, mp = sh.psplit.m1, sh.psplit.m
+        fixed = ((0, y0.value // mp),) if y0 is not None and sh.d > 1 else ()
         free, pin = (m1, 0) if y0 is None else (1, y0.value % m1)
-        return GeneralSolution(
-            self.kind, self.spec.m, free, self.d, self.lookahead, fixed, self, pin
-        )
+        return GeneralSolution(sh.kind, self.spec.m, free, sh.d, sh.lookahead, fixed, self, pin)
 
 
 def structure(spec: ProblemSpec) -> Structure:
-    """Derive the split of m by b, the gcd d and the split of m/d by b/d."""
-    d = spec.d
-    split = split_modulus(factorize(spec.m), spec.b)
-    psplit = split if d == 1 else split_modulus(factorize(spec.m // d), spec.b // d)
-    return Structure(spec, d, split, psplit, first_nondivisible_index(spec.forcing, d))
+    """The cached shape of (m, a, b) and the divisibility witness of f."""
+    sh = shape(spec.m, spec.a, spec.b)
+    return Structure(spec, sh, first_nondivisible_index(spec.forcing, sh.d))
 
 
 def classify_equation(spec: ProblemSpec) -> Classification:
@@ -396,5 +411,5 @@ def solve_initial_problem(spec: ProblemSpec, y0: Residue) -> GeneralSolution:
 
 
 def truncation_depth(spec: ProblemSpec) -> int:
-    """See Structure.truncation."""
-    return structure(spec).truncation
+    """See Shape.truncation."""
+    return shape(spec.m, spec.a, spec.b).truncation

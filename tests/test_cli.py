@@ -14,6 +14,7 @@ from zmdiff.cli import (
 )
 from zmdiff.modring import Residue
 from zmdiff.problem import SequenceSpec
+from zmdiff.solver import shape
 
 EX1 = {"m": 6, "a": 2, "b": 3, "f": [1, 2, 0, 1], "f_period": 4}
 EX2 = {"m": 9, "a": 2, "b": 3, "f": [1], "f_period": 1}
@@ -400,25 +401,41 @@ def test_sweep_engines_are_deterministic():
     assert c["ok"] and c["cells"] == sum(m * m for m in range(2, 7))
 
 
-def test_solve_builds_residues_independently_of_the_forcing_length_and_horizon(
-    capsys, monkeypatch
-):
-    # wrapped the way the benchmark counts residues: forcing terms and solution values are ints
-    built = []
+@pytest.fixture
+def built(monkeypatch):
+    """One entry per Residue built, counted the way the benchmark's modring.residues_built is."""
+    calls = []
     original = Residue.__post_init__
 
     def counted(self):
-        built.append(1)
+        calls.append(1)
         original(self)
 
     monkeypatch.setattr(Residue, "__post_init__", counted)
+    return calls
+
+
+def test_solve_builds_residues_independently_of_the_forcing_length_and_horizon(
+    capsys, monkeypatch, built
+):
+    # forcing terms and solution values are ints
     counts = set()
     for f in ([1, 2, 0, 1], [1, 2, 0, 1] * 75):
         for horizon in (8, 2000):
             doc = {**EX1, "f": f, "horizon": horizon}
             monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
             built.clear()
+            shape.cache_clear()  # each call derives its shape, as the first one would
             assert main(["solve", "--format", "json"]) == 0
             assert len(json.loads(capsys.readouterr().out)["values"]) == horizon + 1
             counts.add(len(built))
     assert len(counts) == 1
+
+
+def test_oracle_sweep_builds_fewer_than_three_residues_per_cell(built):
+    # candidates reach verify_solution as ints; what is left is the pinned start, the forced
+    # start residue and, from a cold shape cache, the nilpotency indices
+    shape.cache_clear()
+    report = run_oracle_sweep(6, 1, 0)
+    assert report["ok"] and report["cells"] == 90
+    assert len(built) < 3 * report["cells"]  # 1,421 while candidates were Residues

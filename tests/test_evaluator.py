@@ -54,13 +54,11 @@ def test_free_and_pinned_solutions_verify(spec, data):
     x10 = data.draw(st.integers(0, sol.free_initial_modulus - 1))
     digits = st.integers(0, sol.lift_digit_bound - 1)
     alpha = data.draw(st.lists(digits, min_size=WINDOW, max_size=WINDOW))
-    seq = sol.sequence(WINDOW, x10, alpha)
+    seq = sol.values(WINDOW, x10, alpha)
     assert verify_solution(spec, seq) == (True, None)
 
-    y0 = seq[0]
-    pinned = solve_initial_problem(spec, y0)
-    pseq = pinned.sequence(WINDOW, 0, alpha)
-    assert verify_solution(spec, pseq, y0) == (True, None)
+    pinned = solve_initial_problem(spec, Residue(seq[0], spec.m))
+    assert verify_solution(spec, pinned.values(WINDOW, 0, alpha), seq[0]) == (True, None)
 
 
 @given(solvable_problems(), st.data())
@@ -82,7 +80,7 @@ def test_index_32_window_verifies():
     spec = ProblemSpec(m, 1, 2, SequenceSpec.from_ints([1], m, period=1))
     sol = general_solution(spec)
     assert sol.lookahead == 31
-    assert verify_solution(spec, sol.sequence(200)) == (True, None)
+    assert verify_solution(spec, sol.values(200)) == (True, None)
 
 
 def test_deep_explicit_value_matches_the_closed_form():
@@ -144,7 +142,8 @@ def test_window_matches_the_per_index_loop(case, length):
     assert sol.values(length, x10, alpha) == [r.value for r in window]
     # a transition past an aperiodic support has no forcing term to check against
     checked = window if spec.forcing.period else window[: len(spec.forcing.terms) + 1]
-    assert verify_solution(spec, checked, y0) == (True, None)
+    pinned = None if y0 is None else y0.value
+    assert verify_solution(spec, [r.value for r in checked], pinned) == (True, None)
 
 
 def _solve_json(tmp_path, doc: dict, horizon: int) -> tuple[dict, float]:
@@ -163,7 +162,7 @@ def test_readme_document_solves_to_horizon_10000_within_a_second(tmp_path):
     doc = {"m": 6, "a": 2, "b": 3, "f": [1, 2, 0, 1], "f_period": 4}
     report, elapsed = _solve_json(tmp_path, doc, 10_000)
     spec = ProblemSpec(6, 2, 3, SequenceSpec.from_ints(doc["f"], 6, 4))
-    values = [Residue(v, 6) for v in report["values"]]
+    values = report["values"]
     assert len(values) == 10_001 - report["lookahead"]
     assert verify_solution(spec, values) == (True, None)
     assert elapsed < 1.0
@@ -174,7 +173,7 @@ def test_explicit_document_near_2_32_solves_to_horizon_10000_within_a_second(tmp
     doc = {"m": m, "a": 5, "b": 3, "f": [7, 1, m - 1], "f_period": 2}
     report, elapsed = _solve_json(tmp_path, doc, 10_000)
     spec = ProblemSpec(m, 5, 3, SequenceSpec.from_ints(doc["f"], m, 2))
-    values = [Residue(v, m) for v in report["values"]]
+    values = report["values"]
     assert report["kind"] == "explicit" and len(values) == 10_001
     assert verify_solution(spec, values) == (True, None)
     assert elapsed < 1.0

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import re
 from pathlib import Path
 
 import pytest
@@ -56,7 +57,7 @@ class TestBruteForcePrefixes:
         pfx = brute_force_prefixes(MIXED, 5)
         assert pfx.sequences
         for seq in sorted(pfx.sequences):
-            ok, _ = verify_solution(MIXED, [Residue(v, 6) for v in seq])
+            ok, _ = verify_solution(MIXED, list(seq))
             assert ok
 
     def test_pinned_start(self):
@@ -132,7 +133,7 @@ def verified_tuples(spec, length, y0):
     m = spec.m
     return {
         t for t in itertools.product(range(m), repeat=length)
-        if verify_solution(spec, [Residue(v, m) for v in t], y0)[0]
+        if verify_solution(spec, t, None if y0 is None else y0.value)[0]
     }
 
 
@@ -227,32 +228,33 @@ def test_oracle_stays_independent_of_the_solver():
 
 class TestVerifySolution:
     def test_pass(self):
-        seq = [Residue(v, 6) for v in (4, 5, 0, 4)]
+        seq = [4, 5, 0, 4]
         assert verify_solution(MIXED, seq) == (True, None)
-        assert verify_solution(MIXED, seq, y0=Residue(4, 6)) == (True, None)
+        assert verify_solution(MIXED, seq, y0=4) == (True, None)
+        assert verify_solution(MIXED, seq, y0=10) == (True, None)  # y0 is taken mod m
 
     def test_fail_at_perturbed_transition(self):
-        seq = [Residue(v, 6) for v in (4, 5, 1, 4)]
-        ok, idx = verify_solution(MIXED, seq)
+        ok, idx = verify_solution(MIXED, [4, 5, 1, 4])
         assert (ok, idx) == (False, 1)
 
     def test_start_mismatch_reports_index_zero(self):
-        seq = [Residue(v, 6) for v in (4, 5)]
-        assert verify_solution(MIXED, seq, y0=Residue(3, 6)) == (False, 0)
+        assert verify_solution(MIXED, [4, 5], y0=3) == (False, 0)
 
     def test_short_sequences_are_vacuous(self):
-        assert verify_solution(MIXED, [Residue(0, 6)]) == (True, None)
+        assert verify_solution(MIXED, [0]) == (True, None)
         assert verify_solution(MIXED, []) == (True, None)
 
     def test_modulus_checked(self):
-        with pytest.raises(ModulusMismatch):
-            verify_solution(MIXED, [Residue(0, 5)])
+        # values are residues in [0, m): the first one outside is named
+        for xs, bad in ([0, 6], "x[1] = 6"), ([-1, 0], "x[0] = -1"), ([5, 7, -2], "x[1] = 7"):
+            with pytest.raises(ModulusMismatch, match=re.escape(bad)):
+                verify_solution(MIXED, xs)
 
 
 def test_verify_reports_a_failure_before_the_end_of_an_aperiodic_support():
     # f = [1, 2] covers transitions 0 and 1; a third needs f[2]
     short = spec_of(6, 2, 3, [1, 2])
-    assert verify_solution(short, [Residue(v, 6) for v in (4, 5, 1, 4)]) == (False, 1)
+    assert verify_solution(short, [4, 5, 1, 4]) == (False, 1)
     with pytest.raises(InsufficientData) as err:
-        verify_solution(short, [Residue(v, 6) for v in (4, 5, 0, 4)])
+        verify_solution(short, [4, 5, 0, 4])
     assert err.value.index == 2

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, strategies as st
 
 from zmdiff.modring import ModulusMismatch, Residue
 from zmdiff.problem import InsufficientData, InvalidLiftDigit, ProblemSpec, SequenceSpec
+from zmdiff import solver
 from zmdiff.solver import (
     InsufficientLookahead,
+    Structure,
     classify_equation,
     classify_initial_problem,
     explicit_solution,
@@ -310,3 +313,41 @@ def test_truncation_depth_values():
     assert truncation_depth(spec_of(12, 6, 9, [3, 0, 6], period=3)) == 0
     assert truncation_depth(spec_of(16, 1, 2, [0], period=1)) == 4
     assert truncation_depth(spec_of(4, 0, 0, [0], period=1)) == 0
+
+
+def _answers(s):
+    """Everything a Structure answers: its split data, its verdicts for the free and
+    every pinned problem and, when solvable, its compatibility and two windows."""
+    m = s.spec.m
+    out = [s.d, s.split, s.psplit, s.ind_b2, s.ind_b2_prime, s.truncation, s.classify(),
+           [s.classify_initial(Residue(y0, m)) for y0 in range(m)]]
+    if s.witness is None:
+        out += [s.compatibility, s.window(0, 8, 0), s.window(3, 5, s.psplit.m1 - 1)]
+    return out
+
+
+@given(st.data())
+def test_problems_with_the_same_coefficients_share_one_shape(data):
+    """structure() takes the (m, a, b) half from a bounded cache. Two forcings get the same
+    shape object; it equals a fresh derivation, which is how every problem was derived
+    before the cache, and each problem answers as it does on a freshly derived shape."""
+    m = data.draw(st.integers(2, 30))
+    a, b = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    d = math.gcd(a, b, m)
+    raw = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6))
+    other = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6).filter(
+        lambda g: [v * d % m for v in g] != raw))
+    first = structure(spec_of(m, a, b, raw, len(raw)))  # any f, often not divisible by d
+    first_answers = _answers(first)  # fills the shape's lazy attributes
+    second = structure(spec_of(m, a, b, [v * d for v in other], len(other)))  # solvable
+    assert first.shape is second.shape
+    fresh = solver.shape.__wrapped__(m, a, b)
+    assert fresh == first.shape
+    for lazy in ("ind_b2", "ind_b2_prime", "truncation", "lookahead", "kind", "_kernel"):
+        assert getattr(fresh, lazy) == getattr(second.shape, lazy)
+    for s, answers in ((first, first_answers), (second, _answers(second))):
+        assert answers == _answers(Structure(s.spec, solver.shape.__wrapped__(m, a, b), s.witness))
+
+
+def test_shape_cache_is_bounded():
+    assert solver.shape.cache_info().maxsize == 1024

@@ -166,7 +166,7 @@ def _compatibility(st: Structure) -> tuple[dict | None, list[str]]:
         req = st.compatibility
     except InsufficientLookahead as exc:
         needs, text = _undecidable(exc)
-        out = {"modulus": st.psplit.m2, "required": None, "needs_forcing_terms": needs}
+        out = {"modulus": st.shape.psplit.m2, "required": None, "needs_forcing_terms": needs}
         return out, [_kv("start condition", text)]
     if req is None:
         return None, []
@@ -226,7 +226,7 @@ def _freedom_text(sol) -> str:
 def cmd_classify(args: argparse.Namespace) -> int:
     spec, y0, _ = _load(args)
     st = structure(spec)
-    cls = st.classify()
+    sh, cls = st.shape, st.classify()
     compatibility, compatibility_lines = _compatibility(st)
     initial, initial_lines = _initial(st, y0) if y0 is not None else (None, [])
     report = {
@@ -234,14 +234,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "m": spec.m,
         "a": spec.a,
         "b": spec.b,
-        "d": st.d,
-        "m1": st.split.m1,
-        "m2": st.split.m2,
-        "ind_b2": st.ind_b2,
-        "m_prime": st.psplit.m,
-        "m1_prime": st.psplit.m1,
-        "m2_prime": st.psplit.m2,
-        "ind_b2_prime": st.ind_b2_prime,
+        "d": sh.d,
+        "m1": sh.split.m1,
+        "m2": sh.split.m2,
+        "ind_b2": sh.ind_b2,
+        "m_prime": sh.psplit.m,
+        "m1_prime": sh.psplit.m1,
+        "m2_prime": sh.psplit.m2,
+        "ind_b2_prime": sh.ind_b2_prime,
         "verdict": _verdict_dict(cls),
         "support_qualified": cls.support_qualified,
         "compatibility": compatibility,
@@ -250,16 +250,16 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
     lines = [
         _kv("equation", f"{spec.b}*x[n+1] = {spec.a}*x[n] + f[n]  (mod {spec.m})"),
-        _kv("d = gcd(a, b, m)", st.d),
-        _kv("split m1, m2", f"{st.split.m1}, {st.split.m2}"),
+        _kv("d = gcd(a, b, m)", sh.d),
+        _kv("split m1, m2", f"{sh.split.m1}, {sh.split.m2}"),
     ]
-    if st.ind_b2 is not None:
-        lines.append(_kv("ind(b mod m2)", st.ind_b2))
-    if st.d != 1:
-        lines.append(_kv("reduced m'", st.psplit.m))
-        lines.append(_kv("split m1', m2'", f"{st.psplit.m1}, {st.psplit.m2}"))
-        if st.ind_b2_prime is not None:
-            lines.append(_kv("ind(b' mod m2')", st.ind_b2_prime))
+    if sh.ind_b2 is not None:
+        lines.append(_kv("ind(b mod m2)", sh.ind_b2))
+    if sh.d != 1:
+        lines.append(_kv("reduced m'", sh.psplit.m))
+        lines.append(_kv("split m1', m2'", f"{sh.psplit.m1}, {sh.psplit.m2}"))
+        if sh.ind_b2_prime is not None:
+            lines.append(_kv("ind(b' mod m2')", sh.ind_b2_prime))
     if cls.kind == "finite":
         word = "solution" if cls.count == 1 else "solutions"
         verdict = f"finite: exactly {cls.count} {word}"
@@ -412,16 +412,17 @@ def _count_check(
     st: Structure, horizon: int, budget: int
 ) -> tuple[int, int | None, int, list[int]]:
     """(expected, window witness, observed, starts): the oracle's count of the
-    length-`horizon` prefixes, cut by st.truncation, against its prediction, and
-    the ascending start values of the full prefixes.
+    length-`horizon` prefixes, cut by st.shape.truncation, against its
+    prediction, and the ascending start values of the full prefixes.
 
     The prediction is exact for the constraint window f[0..horizon-2]: a
     later divisibility witness is invisible to prefixes of this length.
     Raises BudgetExceeded when m * horizon outgrows `budget`.
     """
     witness = st.witness if st.witness is not None and st.witness < horizon - 1 else None
-    expected = 0 if witness is not None else st.psplit.m1 * st.d ** (horizon - st.truncation)
-    observed, starts = count_prefixes(st.spec, horizon, st.truncation, budget=budget)
+    sh = st.shape
+    expected = 0 if witness is not None else sh.psplit.m1 * sh.d ** (horizon - sh.truncation)
+    observed, starts = count_prefixes(st.spec, horizon, sh.truncation, budget=budget)
     return expected, witness, observed, starts
 
 
@@ -430,7 +431,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     _at_least(args, oracle_n=2, budget=1)
     horizon = args.oracle_n
     st = structure(spec)
-    cut = st.truncation
+    cut = st.shape.truncation
     if horizon <= cut:
         raise ValueError(f"--oracle-n {horizon} must exceed the truncation depth {cut}")
     expected, witness, observed, _ = _count_check(st, horizon, args.budget)
@@ -440,7 +441,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         "m": spec.m,
         "a": spec.a,
         "b": spec.b,
-        "d": st.d,
+        "d": st.shape.d,
         "horizon": horizon,
         "budget": args.budget,
         "truncation": cut,
@@ -536,7 +537,7 @@ def _audit_cell(
         return
     row["count_checks"] += 1
     if observed != expected:
-        flag("count", truncation=st.truncation, expected=expected, observed=observed)
+        flag("count", truncation=st.shape.truncation, expected=expected, observed=observed)
 
     if st.classify().kind == "none":
         try:
@@ -564,20 +565,19 @@ def _audit_cell(
                     flag("sequence", x10=x10, alpha=list(alpha), failing_index=idx)
         if starts:
             y0v = starts[0]
-            y0 = Residue(y0v, m)
-            icls = st.classify_initial(y0)
-            if icls.kind == "none":
-                flag("initial_classify", y0=y0v, verdict=icls.kind)
+            try:  # solution() classifies the start once; a "none" verdict raises ValueError
+                isol = st.solution(Residue(y0v, m))
+            except ValueError:
+                flag("initial_classify", y0=y0v, verdict="none")
             else:
-                isol = st.solution(y0)
                 ok, idx = verify_solution(spec, isol.values(horizon - isol.lookahead), y0v)
                 row["initial_checks"] += 1
                 if not ok:
                     flag("initial_sequence", y0=y0v, failing_index=idx)
 
-    if st.d == 1 and st.compatibility is not None:
+    if st.shape.d == 1 and st.compatibility is not None:
         required = st.compatibility.value
-        residues = {s % st.split.m2 for s in starts}
+        residues = {s % st.shape.split.m2 for s in starts}
         row["compat_checks"] += 1
         if residues != {required}:
             flag("compat", required=required, observed=sorted(residues))
@@ -604,7 +604,7 @@ def run_uniqueness_sweep(m_max: int, forcing_trials: int, seed: int) -> dict:
                 st = structure(ProblemSpec(m, a, b, zero_f))
                 cls = st.classify()
                 p1 = cls.kind == "finite" and cls.count == 1
-                p2 = math.gcd(a, b, m) == 1 and st.split.m1 == 1
+                p2 = math.gcd(a, b, m) == 1 and st.shape.split.m1 == 1
                 p3 = math.gcd(a, m) == 1 and nilp
                 if not (p1 == p2 == p3):
                     discrepancies.append(

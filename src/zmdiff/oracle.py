@@ -86,7 +86,8 @@ def count_prefixes(
     on from x at position k. At position horizon-cut-1, v is clamped to 0/1 (x
     extends to the full horizon or not), so earlier positions count kept paths,
     not completions. Each (position, residue) state costs one unit of budget; m
-    must fit in it before anything is allocated. Needs f[0..horizon-2], read first.
+    must fit in it before anything is allocated. Needs f[0..horizon-2], read in full
+    only once m * horizon fits the budget; a short support is reported before that.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -95,9 +96,11 @@ def count_prefixes(
     m, a, b = spec.m, spec.a, spec.b
     if m > budget:
         raise BudgetExceeded(budget)
-    f = spec.forcing.values(0, horizon - 1)
+    # a short aperiodic support raises here; this reads at most len(f) + 1 terms
+    spec.forcing.values(0, min(horizon - 1, len(spec.forcing.terms) + 1))
     if m * horizon > budget:
         raise BudgetExceeded(budget)
+    f = spec.forcing.values(0, horizon - 1)
     bx = [b * x % m for x in range(m)]
     gather = itemgetter(*[a * x % m for x in range(m)])
     v = [1] * m

@@ -271,19 +271,12 @@ def shape(m: int, a: int, b: int) -> Shape:
 
 @dataclass(frozen=True)
 class Structure:
-    """One problem: its Shape, shared with every forcing and read through by name, and the
-    first prefix index whose forcing term d does not divide, which every verdict reads."""
+    """One problem: its Shape, which alone answers (m, a, b) questions and is shared with
+    every forcing, and the first index whose forcing term d does not divide (the witness)."""
 
     spec: ProblemSpec
     shape: Shape
     witness: int | None
-
-    d = property(lambda self: self.shape.d)
-    split = property(lambda self: self.shape.split)
-    psplit = property(lambda self: self.shape.psplit)
-    ind_b2 = property(lambda self: self.shape.ind_b2)
-    ind_b2_prime = property(lambda self: self.shape.ind_b2_prime)
-    truncation = property(lambda self: self.shape.truncation)
 
     def window(self, start: int, length: int, x10: int) -> tuple[list[int], LookupError | None]:
         """x'[start..start+length-1] mod m' of the equation divided by d, started at x10 mod m1'.
@@ -334,22 +327,22 @@ class Structure:
         Needs witness None. Raises InsufficientLookahead when the forcing
         support is too short to decide it.
         """
-        if self.psplit.m2 == 1:
+        if self.shape.psplit.m2 == 1:
             return None
         values, error = self.window(0, 1, 0)
         if error is not None:
             raise error
-        return Residue(values[0], self.psplit.m2)
+        return Residue(values[0], self.shape.psplit.m2)
 
     def classify(self) -> Classification:
         if self.witness is not None:
             return Classification("none", witness_index=self.witness)
-        if self.d == 1:
-            return Classification("finite", count=self.split.m1)
+        if self.shape.d == 1:
+            return Classification("finite", count=self.shape.split.m1)
         return Classification(
             "infinite",
-            d=self.d,
-            m1_prime=self.psplit.m1,
+            d=self.shape.d,
+            m1_prime=self.shape.psplit.m1,
             support_qualified=self.spec.forcing.period is None,
         )
 
@@ -360,8 +353,8 @@ class Structure:
             return InitialClassification(
                 "none", reason="divisibility", witness_index=self.witness
             )
-        kind = "unique" if self.d == 1 else "infinitely_many"
-        qualified = self.d > 1 and self.spec.forcing.period is None
+        kind = "unique" if self.shape.d == 1 else "infinitely_many"
+        qualified = self.shape.d > 1 and self.spec.forcing.period is None
         required = self.compatibility
         if required is None or y0.value % required.modulus == required.value:
             return InitialClassification(kind, support_qualified=qualified)

@@ -14,7 +14,7 @@ from zmdiff.cli import (
 )
 from zmdiff.modring import Residue
 from zmdiff.problem import SequenceSpec
-from zmdiff.solver import shape
+from zmdiff.solver import Structure, shape
 
 EX1 = {"m": 6, "a": 2, "b": 3, "f": [1, 2, 0, 1], "f_period": 4}
 EX2 = {"m": 9, "a": 2, "b": 3, "f": [1], "f_period": 1}
@@ -439,3 +439,18 @@ def test_oracle_sweep_builds_fewer_than_three_residues_per_cell(built):
     report = run_oracle_sweep(6, 1, 0)
     assert report["ok"] and report["cells"] == 90
     assert len(built) < 3 * report["cells"]  # 1,421 while candidates were Residues
+
+
+def test_oracle_sweep_classifies_each_pinned_start_once(monkeypatch):
+    # the pinned verdict comes from solution(y0) alone, not from a separate classify_initial
+    calls = []
+    original = Structure.classify_initial
+
+    def counted(self, y0):
+        calls.append(1)
+        return original(self, y0)
+
+    monkeypatch.setattr(Structure, "classify_initial", counted)
+    report = run_oracle_sweep(6, 1, 0)
+    assert report["ok"]
+    assert len(calls) == report["initial_checks"]  # 71; twice that while it was classified twice

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,18 @@ def test_count_prefixes_budget():
         assert count_prefixes(MIXED, horizon, budget=6 * horizon) == count_prefixes(MIXED, horizon)
         with pytest.raises(BudgetExceeded):
             count_prefixes(MIXED, horizon, budget=6 * horizon - 1)
+
+
+def test_count_prefixes_refuses_an_over_budget_length_before_reading_the_forcing():
+    # a periodic forcing is readable to any length; m * horizon is refused before f is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            count_prefixes(spec_of(6, 2, 3, [1, 2, 0, 1], period=4), 10**6, budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # about 8 MB while f[0..horizon-2] was read first
 
 
 def _zmdiff_imports(module: Path) -> set[str]:

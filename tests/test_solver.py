@@ -319,10 +319,11 @@ def _answers(s):
     """Everything a Structure answers: its split data, its verdicts for the free and
     every pinned problem and, when solvable, its compatibility and two windows."""
     m = s.spec.m
-    out = [s.d, s.split, s.psplit, s.ind_b2, s.ind_b2_prime, s.truncation, s.classify(),
+    sh = s.shape
+    out = [sh.d, sh.split, sh.psplit, sh.ind_b2, sh.ind_b2_prime, sh.truncation, s.classify(),
            [s.classify_initial(Residue(y0, m)) for y0 in range(m)]]
     if s.witness is None:
-        out += [s.compatibility, s.window(0, 8, 0), s.window(3, 5, s.psplit.m1 - 1)]
+        out += [s.compatibility, s.window(0, 8, 0), s.window(3, 5, sh.psplit.m1 - 1)]
     return out
 
 

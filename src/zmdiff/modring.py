@@ -157,14 +157,14 @@ def factorize(n: int) -> Factorization:
 
 
 def nilpotency_index(x: Residue) -> int:
-    """Least k >= 1 with x**k == 0, by iterated multiplication.
+    """Least k >= 1 with x**k == 0, by iterated multiplication on plain ints.
 
     For a nilpotent element the index never exceeds log2(modulus), so the
     search is cut off after bit_length(modulus) steps.
     """
-    power = x
-    for k in range(1, x.modulus.bit_length() + 1):
-        if power.value == 0:
+    power, m = x.value, x.modulus
+    for k in range(1, m.bit_length() + 1):
+        if power == 0:
             return k
-        power = power * x
+        power = power * x.value % m
     raise NotNilpotent(f"{x} is not nilpotent")

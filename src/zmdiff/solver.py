@@ -187,7 +187,7 @@ class GeneralSolution:
             raise ValueError(f"free initial residue {x10} not in [0, {self.free_initial_modulus})")
         xs, error = self._structure.window(start, length, x10 + self._pin)
         sh = self._structure.shape
-        if sh.d > 1:
+        if sh.d > 1 or any(alpha[start : start + len(xs)]):
             fixed = dict(self.fixed_digits)
             for n in range(start, start + len(xs)):
                 digit = fixed.get(n, alpha[n] if n < len(alpha) else 0)
@@ -201,57 +201,32 @@ class GeneralSolution:
 
 @dataclass(frozen=True)
 class Shape:
-    """What (m, a, b) alone decide: d = gcd(a, b, m), m split by b (split) and m' = m/d
-    split by b/d (psplit, the same object when d == 1); the rest is derived on first use."""
+    """What (m, a, b) alone decide, all derived by shape(): d = gcd(a, b, m), m split by b
+    (split), m' = m/d split by b/d (psplit, the same object when d == 1), the nilpotency
+    indices ind of b mod m2 and ind' of b/d mod m2' (None on a trivial side), and the kind.
+
+    A length-N constrained prefix leaves its last truncation = ind' positions partially free
+    (none with a trivial nilpotent side): constraints n = 0..N-2 force the nilpotent-side
+    value at n only when the whole window n..n+ind'-1 fits, so that many are cut before
+    prefix counts are compared with the infinite problem's solution-set cardinalities. The
+    evaluator reads lookahead = ind' - 1 forcing terms past index n; only its constants
+    (_kernel) wait for the first window, since classify-only traffic never evaluates."""
 
     a: int
     b: int
     d: int
     split: SplitModuli
     psplit: SplitModuli
-
-    @cached_property
-    def ind_b2(self) -> int | None:
-        """Nilpotency index of b mod m2; None when the m2 side is trivial."""
-        m2 = self.split.m2
-        return nilpotency_index(Residue(self.b, m2)) if m2 != 1 else None
-
-    @cached_property
-    def ind_b2_prime(self) -> int | None:
-        """Nilpotency index of b/d mod m2'; None when the m2' side is trivial."""
-        m2 = self.psplit.m2
-        return nilpotency_index(Residue(self.b // self.d, m2)) if m2 != 1 else None
-
-    @property
-    def truncation(self) -> int:
-        """Trailing positions of a length-N constrained prefix left unpinned.
-
-        Constraints n = 0..N-2 force the nilpotent-side value at position n
-        only when the whole window n..n+ind'-1 fits, so the last ind'
-        positions stay partially free; with a trivial nilpotent side nothing
-        is free. This is the right amount to cut before comparing prefix
-        counts against the solution-set cardinalities of the infinite problem.
-        """
-        return self.ind_b2_prime or 0
-
-    @property
-    def lookahead(self) -> int:
-        """How many forcing terms past index n the evaluator reads."""
-        return max(self.truncation - 1, 0)
-
-    @property
-    def kind(self) -> str:
-        if self.d > 1:
-            return "lifted"
-        if self.psplit.m2 == 1:
-            return "explicit"
-        return "nilpotent" if self.psplit.m1 == 1 else "mixed"
+    ind_b2: int | None
+    ind_b2_prime: int | None
+    truncation: int
+    lookahead: int
+    kind: str  # "explicit" | "nilpotent" | "mixed" | "lifted"
 
     @cached_property
     def _kernel(self) -> tuple[int, int, int, int, tuple[int, ...], int, int]:
         """a', b', b'^-1 mod m1', a'^-1 mod m2', the weights w_s = -a'^-(s+1) b'^s mod m2'
-        for s < ind' and the CRT units u1, u2; pow(x, -1, 1) == 0 zeroes a trivial side.
-        """
+        for s < ind' and the CRT units u1, u2; pow(x, -1, 1) == 0 zeroes a trivial side."""
         m1, m2 = self.psplit.m1, self.psplit.m2
         a, b = self.a // self.d, self.b // self.d
         ainv = pow(a, -1, m2)
@@ -265,8 +240,14 @@ def shape(m: int, a: int, b: int) -> Shape:
     """The Shape of b*x[n+1] = a*x[n] + f[n] (mod m), for a and b reduced mod m."""
     d = math.gcd(a, b, m)
     split = split_modulus(factorize(m), b)
-    psplit = split if d == 1 else split_modulus(factorize(m // d), b // d)
-    return Shape(a, b, d, split, psplit)
+    ind = nilpotency_index(Residue(b, split.m2)) if split.m2 != 1 else None
+    psplit, ind_p = split, ind  # b/d == b when d == 1
+    if d > 1:
+        psplit = split_modulus(factorize(m // d), b // d)
+        ind_p = nilpotency_index(Residue(b // d, psplit.m2)) if psplit.m2 != 1 else None
+    kind = ("lifted" if d > 1 else "explicit" if split.m2 == 1
+            else "nilpotent" if split.m1 == 1 else "mixed")
+    return Shape(a, b, d, split, psplit, ind, ind_p, ind_p or 0, (ind_p or 1) - 1, kind)
 
 
 @dataclass(frozen=True)
@@ -404,5 +385,5 @@ def solve_initial_problem(spec: ProblemSpec, y0: Residue) -> GeneralSolution:
 
 
 def truncation_depth(spec: ProblemSpec) -> int:
-    """See Shape.truncation."""
+    """See Shape for what the truncation cuts."""
     return shape(spec.m, spec.a, spec.b).truncation

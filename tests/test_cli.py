@@ -16,6 +16,8 @@ from zmdiff.modring import Residue
 from zmdiff.problem import SequenceSpec
 from zmdiff.solver import Structure, shape
 
+from test_golden import BIG_IND32
+
 EX1 = {"m": 6, "a": 2, "b": 3, "f": [1, 2, 0, 1], "f_period": 4}
 EX2 = {"m": 9, "a": 2, "b": 3, "f": [1], "f_period": 1}
 EX3_EVEN = {"m": 12, "a": 2, "b": 6, "f": [2, 4, 0], "f_period": 3, "horizon": 6}
@@ -162,6 +164,22 @@ class TestSolveCommand:
     def test_out_of_range_digit(self, capsys, doc_path):
         assert main(["solve", "--input", doc_path(EX4), "--alpha", "3"]) == 2
         assert main(["solve", "--input", doc_path(EX4), "--alpha", "0,1,2"]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--input", doc_path(EX4), "--alpha", "1,x"]) == 2
+        assert "expected comma-separated integers, got '1,x'" in capsys.readouterr().err
+
+    def test_d1_takes_only_zero_digits(self, capsys, doc_path):
+        # lift_digit_bound is 1 when d == 1, so any other digit is refused as at d > 1
+        path = doc_path(EX1)
+        assert main(["solve", "--input", path, "--alpha", "1"]) == 2
+        assert "lift digit 1 at index 0 not in [0, 1)" in capsys.readouterr().err
+        assert main(["solve", "--input", path, "--format", "json"]) == 0
+        plain = json.loads(capsys.readouterr().out)["values"]
+        for alpha in ("0,0", ""):
+            assert main(["solve", "--input", path, "--alpha", alpha, "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["values"] == plain
+        assert main(["solve", "--input", path, "--alpha", ""]) == 0
+        assert "alpha=-" in capsys.readouterr().out
 
     def test_out_of_range_x10(self, doc_path):
         assert main(["solve", "--input", doc_path(EX1), "--x10", "2"]) == 2
@@ -430,6 +448,15 @@ def test_solve_builds_residues_independently_of_the_forcing_length_and_horizon(
             assert len(json.loads(capsys.readouterr().out)["values"]) == horizon + 1
             counts.add(len(built))
     assert len(counts) == 1
+
+
+def test_solve_builds_one_residue_at_nilpotency_index_32(capsys, monkeypatch, built):
+    # m = 2**32, b = 2: the nilpotency index steps on ints, so only its argument is a Residue
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(BIG_IND32)))
+    shape.cache_clear()
+    assert main(["solve", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["lookahead"] == 31
+    assert len(built) == 1  # 32 while the index multiplied Residues
 
 
 def test_oracle_sweep_builds_fewer_than_three_residues_per_cell(built):

@@ -154,6 +154,8 @@ def test_prefixes_and_budget_match_exhaustion(problem, slack):
 
 
 def test_count_prefixes_cut_bounds():
+    with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+        count_prefixes(MIXED, 0)
     with pytest.raises(ValueError, match=r"cut must lie in \[0, 3\)"):
         count_prefixes(MIXED, 3, 3)
     with pytest.raises(ValueError, match=r"cut must lie in \[0, 3\)"):

@@ -88,6 +88,8 @@ class TestProblemSpec:
     def test_validation(self):
         with pytest.raises(ModulusMismatch):
             ProblemSpec(12, 1, 1, SequenceSpec.from_ints([0], 6))
+        with pytest.raises(InvalidModulus, match="equation modulus must be >= 2, got 1"):
+            ProblemSpec(1, 0, 0, SequenceSpec.from_ints([0], 1))
 
 
 def test_first_nondivisible_index():

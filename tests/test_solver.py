@@ -257,6 +257,8 @@ class TestGeneralSolution:
         sol = general_solution(MIXED)
         with pytest.raises(ValueError):
             sol.value(0, x10=2)
+        with pytest.raises(ValueError, match="index must be non-negative, got -1"):
+            sol.value(-1)
         lifted = general_solution(spec_of(12, 2, 6, [2, 4, 0], period=3))
         with pytest.raises(InvalidLiftDigit):
             lifted.value(1, 0, [0, 2])
@@ -339,7 +341,7 @@ def test_problems_with_the_same_coefficients_share_one_shape(data):
     other = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6).filter(
         lambda g: [v * d % m for v in g] != raw))
     first = structure(spec_of(m, a, b, raw, len(raw)))  # any f, often not divisible by d
-    first_answers = _answers(first)  # fills the shape's lazy attributes
+    first_answers = _answers(first)  # fills the shape's one lazy attribute, _kernel
     second = structure(spec_of(m, a, b, [v * d for v in other], len(other)))  # solvable
     assert first.shape is second.shape
     fresh = solver.shape.__wrapped__(m, a, b)

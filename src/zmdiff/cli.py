@@ -6,9 +6,10 @@ Problems arrive as a JSON document, from --input PATH or stdin:
 
 m >= 2 is the modulus, a and b the coefficients of b*x[n+1] = a*x[n] + f[n]
 (mod m), f the forcing prefix. Optional fields: f_period marks eventual
-periodicity (f[n+p] = f[n] for n >= len(f)-p), y0 pins the start value,
-horizon sets the default report depth (8). Unknown and repeated fields are
-rejected.
+periodicity (f[n+p] = f[n] for n >= len(f)-p), y0 pins the start value
+(taken mod m once, on parsing), horizon sets the default report depth (8).
+Unknown and repeated fields are rejected. The commands and the sweeps ask
+the solver's Structure in plain ints and build no Residue themselves.
 
 Exit codes: 0 success, 1 no solution / verification failure / sweep
 discrepancy, 2 usage or malformed input, 3 oracle state budget exceeded,
@@ -29,7 +30,6 @@ import sys
 from itertools import islice, product
 from typing import Any
 
-from .modring import Residue
 from .oracle import BudgetExceeded, count_prefixes, verify_solution
 from .problem import InsufficientData, ProblemSpec, SequenceSpec
 from .solver import (
@@ -72,7 +72,7 @@ def _require_int(name: str, value: Any) -> int:
 
 
 def parse_document(data: Any) -> tuple[ProblemSpec, int | None, int]:
-    """(problem, y0, horizon) from a decoded JSON object; strict about unknown fields and types."""
+    """(problem, y0 mod m, horizon) from a decoded JSON object; strict on fields and types."""
     if not isinstance(data, dict):
         raise DocumentError("<document>", "expected a JSON object")
     for key in data:
@@ -99,7 +99,7 @@ def parse_document(data: Any) -> tuple[ProblemSpec, int | None, int]:
             raise DocumentError("f_period", f"period must lie in [1, {len(f)}], got {f_period}")
     y0 = None
     if data.get("y0") is not None:
-        y0 = _require_int("y0", data["y0"])
+        y0 = _require_int("y0", data["y0"]) % m
     horizon = 8
     if data.get("horizon") is not None:
         horizon = _require_int("horizon", data["horizon"])
@@ -162,23 +162,24 @@ def _compatibility(st: Structure) -> tuple[dict | None, list[str]]:
     """The start-value condition over m2', if the problem has one: json and text lines."""
     if st.witness is not None:
         return None, []
+    m2 = st.shape.psplit.m2
     try:
         req = st.compatibility
     except InsufficientLookahead as exc:
         needs, text = _undecidable(exc)
-        out = {"modulus": st.shape.psplit.m2, "required": None, "needs_forcing_terms": needs}
+        out = {"modulus": m2, "required": None, "needs_forcing_terms": needs}
         return out, [_kv("start condition", text)]
     if req is None:
         return None, []
-    text = f"solvable with pinned start iff x[0] = {req.value} (mod {req.modulus})"
-    return {"modulus": req.modulus, "required": req.value}, [_kv("start condition", text)]
+    text = f"solvable with pinned start iff x[0] = {req} (mod {m2})"
+    return {"modulus": m2, "required": req}, [_kv("start condition", text)]
 
 
 def _initial(st: Structure, y0: int) -> tuple[dict, list[str]]:
     """The verdict on the start x[0] = y0: json and text lines."""
-    out: dict[str, Any] = {"y0": y0 % st.spec.m}
+    out: dict[str, Any] = {"y0": y0}
     try:
-        icls = st.classify_initial(Residue(y0, st.spec.m))
+        icls = st.classify_initial(y0)
     except InsufficientLookahead as exc:
         needs, text = _undecidable(exc)
         out.update(kind="undecidable", needs_forcing_terms=needs)
@@ -192,7 +193,7 @@ def _initial(st: Structure, y0: int) -> tuple[dict, list[str]]:
                     f"(mod {icls.required.modulus}), got {icls.actual.value})")
         else:
             text = "unique solution" if icls.kind == "unique" else "infinitely many solutions"
-    return out, [_kv(f"initial x[0]={out['y0']}", text)]
+    return out, [_kv(f"initial x[0]={y0}", text)]
 
 
 def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
@@ -286,7 +287,7 @@ def _solution_window(
     """
     mode = "equation" if y0 is None else "initial"
     try:
-        sol = structure(spec).solution(None if y0 is None else Residue(y0, spec.m))
+        sol = structure(spec).solution(y0)
     except ValueError as exc:  # Structure.solution's refusal
         report = {"command": args.command, "mode": mode, "verdict": "none", "detail": str(exc)}
         _emit({**report, **empty}, args.format, [str(exc), *(f"0 {key}" for key in empty)])
@@ -382,13 +383,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if len(args.candidate) < 2:
         raise ValueError("candidate needs at least 2 values")
     xs = [v % spec.m for v in args.candidate]
-    pinned = y0 % spec.m if y0 is not None else None
     # a candidate longer than the forcing support raises InsufficientData -> exit 4
-    ok, idx = verify_solution(spec, xs, pinned)
+    ok, idx = verify_solution(spec, xs, y0)
     detail = "all transitions satisfied"
     if not ok:
-        if idx == 0 and pinned is not None and xs[0] != pinned:
-            detail = f"start value mismatch: expected {pinned}, got {xs[0]}"
+        if idx == 0 and y0 is not None and xs[0] != y0:
+            detail = f"start value mismatch: expected {y0}, got {xs[0]}"
         else:
             detail = (
                 f"transition {idx} violated: {spec.b}*{xs[idx + 1]} != {spec.a}*{xs[idx]}"
@@ -398,7 +398,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "command": "verify",
         "m": spec.m,
         "candidate": xs,
-        "y0": pinned,
+        "y0": y0,
         "pass": ok,
         "failing_index": idx,
         "detail": detail,
@@ -476,10 +476,11 @@ def run_oracle_sweep(
 
     Per cell and trial: the truncated prefix count must match the closed-form
     prediction, every solver-produced sequence must verify, the least start
-    of the oracle's prefixes must solve when pinned, and the forced start
-    residue must agree with the oracle's. The first modulus with a cell whose
-    truncation depth reaches `horizon` is 2**horizon (b = 2), and such a
-    cell has no prefix left to count, so m_max must stay below it.
+    of the oracle's prefixes must solve when pinned, and the start residue
+    mod m2' that a solvable cell forces, at any d, must be the oracle's. The
+    first modulus with a cell whose truncation depth reaches `horizon` is
+    2**horizon (b = 2), and such a cell has no prefix left to count, so
+    m_max must stay below it.
     """
     if m_max >= 2**horizon:
         raise ValueError(
@@ -523,11 +524,9 @@ def _audit_cell(
     row: dict,
     out: list[dict],
 ) -> None:
-    m = spec.m
-
     def flag(kind: str, **detail: Any) -> None:
         f = list(spec.forcing.terms)
-        out.append({"kind": kind, "m": m, "a": spec.a, "b": spec.b, "f": f, **detail})
+        out.append({"kind": kind, "m": spec.m, "a": spec.a, "b": spec.b, "f": f, **detail})
 
     st = structure(spec)
     try:
@@ -564,20 +563,19 @@ def _audit_cell(
                 if not ok:
                     flag("sequence", x10=x10, alpha=list(alpha), failing_index=idx)
         if starts:
-            y0v = starts[0]
+            y0 = starts[0]
             try:  # solution() classifies the start once; a "none" verdict raises ValueError
-                isol = st.solution(Residue(y0v, m))
+                isol = st.solution(y0)
             except ValueError:
-                flag("initial_classify", y0=y0v, verdict="none")
+                flag("initial_classify", y0=y0, verdict="none")
             else:
-                ok, idx = verify_solution(spec, isol.values(horizon - isol.lookahead), y0v)
+                ok, idx = verify_solution(spec, isol.values(horizon - isol.lookahead), y0)
                 row["initial_checks"] += 1
                 if not ok:
-                    flag("initial_sequence", y0=y0v, failing_index=idx)
+                    flag("initial_sequence", y0=y0, failing_index=idx)
 
-    if st.shape.d == 1 and st.compatibility is not None:
-        required = st.compatibility.value
-        residues = {s % st.shape.split.m2 for s in starts}
+    if st.witness is None and (required := st.compatibility) is not None:
+        residues = {s % st.shape.psplit.m2 for s in starts}
         row["compat_checks"] += 1
         if residues != {required}:
             flag("compat", required=required, observed=sorted(residues))
@@ -616,7 +614,7 @@ def run_uniqueness_sweep(m_max: int, forcing_trials: int, seed: int) -> dict:
                     continue
                 unique_cells += 1
                 sol = st.solution()
-                if any(sol.value(n).value != 0 for n in range(3)):
+                if any(sol.values(3)):
                     discrepancies.append(
                         {"kind": "homogeneous_nonzero", "m": m, "a": a, "b": b}
                     )

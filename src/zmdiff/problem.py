@@ -98,8 +98,7 @@ class ProblemSpec:
 class ReducedSpec:
     """The gcd-reduced equation over Z_{m/d}: (b/d)*x[n+1] = (a/d)*x[n] + f[n]/d.
 
-    The reduced modulus may be 1 (the null ring) when d == m; as_problem()
-    is only available for a reduced modulus >= 2.
+    The reduced modulus may be 1 (the null ring) when d == m.
     """
 
     d: int
@@ -107,9 +106,6 @@ class ReducedSpec:
     a: int
     b: int
     forcing: SequenceSpec
-
-    def as_problem(self) -> ProblemSpec:
-        return ProblemSpec(self.m, self.a, self.b, self.forcing)
 
 
 def first_nondivisible_index(forcing: SequenceSpec, d: int) -> int | None:

@@ -7,6 +7,9 @@ terms). Everything else is bookkeeping, derived once per (m, a, b) in a
 Shape that every forcing shares: dividing through by d = gcd(a, b, m) gives
 an equation mod m/d that splits the same way, and the information lost by
 the division comes back as one free lift digit per index.
+
+Structure takes and returns plain ints; a Residue start enters only through
+classify_initial_problem and solve_initial_problem, which check its modulus.
 """
 
 from __future__ import annotations
@@ -151,10 +154,10 @@ class GeneralSolution:
     """Every solution of a (solvable) problem, as an evaluator over free parameters.
 
     values(length, x10, alpha) returns x[0..length-1] as ints, where x10 ranges
-    over [0, free_initial_modulus) and alpha[i] supplies the lift digit for
-    index i (missing digits default to 0; digits pinned by an initial condition
-    override the caller's); value(n, ...) and sequence(length, ...) return
-    Residues, the only ones built here. All read Structure.window, started at
+    over [0, free_initial_modulus) and alpha[i] supplies the lift digit for index i
+    (missing digits default to 0; each must lie in [0, d), and a digit pinned by an
+    initial condition then overrides it); value(n, ...) and sequence(length, ...)
+    return Residues, the only ones built here. All read Structure.window, started at
     x10 plus the pinned start residue mod m1', and add alpha[n]*m' when d > 1.
     Evaluating index n consumes forcing terms up through n + lookahead; a window
     costs one step per value plus lookahead, and value(n) steps n times in
@@ -190,10 +193,10 @@ class GeneralSolution:
         if sh.d > 1 or any(alpha[start : start + len(xs)]):
             fixed = dict(self.fixed_digits)
             for n in range(start, start + len(xs)):
-                digit = fixed.get(n, alpha[n] if n < len(alpha) else 0)
+                digit = alpha[n] if n < len(alpha) else 0
                 if not 0 <= digit < sh.d:
                     raise InvalidLiftDigit(f"lift digit {digit} at index {n} not in [0, {sh.d})")
-                xs[n - start] += digit * sh.psplit.m
+                xs[n - start] += fixed.get(n, digit) * sh.psplit.m
         if error is not None:
             raise error
         return xs
@@ -284,8 +287,8 @@ class Structure:
                 error = (InsufficientData(size) if stop > size and (m1 > 1 or mp == 1)
                          else InsufficientLookahead(stop, ind))
         n = stop - start
-        if n == 0 or mp == 1:  # m' == 1 reads no forcing term
-            return [0] * n, error
+        if n == 0:
+            return [], error
         f = [v // d for v in forcing.values(start, stop + ind - 1)]
         # step the m1' side to start, 4096 terms at a time; a trivial m1' side is 0 throughout
         head = (fk for lo in range(0, start if m1 > 1 else 0, 4096)
@@ -302,7 +305,7 @@ class Structure:
         return out, error
 
     @cached_property
-    def compatibility(self) -> Residue | None:
+    def compatibility(self) -> int | None:
         """The start value mod m2' that the nilpotent side forces; None when that side is trivial.
 
         Needs witness None. Raises InsufficientLookahead when the forcing
@@ -313,7 +316,7 @@ class Structure:
         values, error = self.window(0, 1, 0)
         if error is not None:
             raise error
-        return Residue(values[0], self.shape.psplit.m2)
+        return values[0] % self.shape.psplit.m2
 
     def classify(self) -> Classification:
         if self.witness is not None:
@@ -327,25 +330,23 @@ class Structure:
             support_qualified=self.spec.forcing.period is None,
         )
 
-    def classify_initial(self, y0: Residue) -> InitialClassification:
-        if y0.modulus != self.spec.m:
-            raise ModulusMismatch(f"initial value {y0} is not a residue mod {self.spec.m}")
+    def classify_initial(self, y0: int) -> InitialClassification:
+        """The verdict on x[0] = y0, for y0 in [0, m)."""
         if self.witness is not None:
             return InitialClassification(
                 "none", reason="divisibility", witness_index=self.witness
             )
         kind = "unique" if self.shape.d == 1 else "infinitely_many"
         qualified = self.shape.d > 1 and self.spec.forcing.period is None
-        required = self.compatibility
-        if required is None or y0.value % required.modulus == required.value:
+        required, m2 = self.compatibility, self.shape.psplit.m2
+        if required is None or y0 % m2 == required:
             return InitialClassification(kind, support_qualified=qualified)
-        actual = Residue(y0.value, required.modulus)
         return InitialClassification(
-            "none", reason="compatibility", required=required, actual=actual
+            "none", reason="compatibility", required=Residue(required, m2), actual=Residue(y0, m2)
         )
 
-    def solution(self, y0: Residue | None = None) -> GeneralSolution:
-        """Every solution, free or pinned at x[0] = y0; raises ValueError when there are none.
+    def solution(self, y0: int | None = None) -> GeneralSolution:
+        """Every solution, free or pinned at x[0] = y0 in [0, m); ValueError when there are none.
 
         A pinned solution starts window at y0 mod m1' and, when d > 1,
         pins the lift digit alpha[0] = y0 // m'.
@@ -355,8 +356,8 @@ class Structure:
             raise ValueError(refusal(verdict))
         sh = self.shape
         m1, mp = sh.psplit.m1, sh.psplit.m
-        fixed = ((0, y0.value // mp),) if y0 is not None and sh.d > 1 else ()
-        free, pin = (m1, 0) if y0 is None else (1, y0.value % m1)
+        fixed = ((0, y0 // mp),) if y0 is not None and sh.d > 1 else ()
+        free, pin = (m1, 0) if y0 is None else (1, y0 % m1)
         return GeneralSolution(sh.kind, self.spec.m, free, sh.d, sh.lookahead, fixed, self, pin)
 
 
@@ -371,7 +372,9 @@ def classify_equation(spec: ProblemSpec) -> Classification:
 
 
 def classify_initial_problem(spec: ProblemSpec, y0: Residue) -> InitialClassification:
-    return structure(spec).classify_initial(y0)
+    if y0.modulus != spec.m:
+        raise ModulusMismatch(f"initial value {y0} is not a residue mod {spec.m}")
+    return structure(spec).classify_initial(y0.value)
 
 
 def general_solution(spec: ProblemSpec) -> GeneralSolution:
@@ -381,7 +384,9 @@ def general_solution(spec: ProblemSpec) -> GeneralSolution:
 
 def solve_initial_problem(spec: ProblemSpec, y0: Residue) -> GeneralSolution:
     """Every solution pinned at x[0] = y0; raises ValueError when there are none."""
-    return structure(spec).solution(y0)
+    if y0.modulus != spec.m:
+        raise ModulusMismatch(f"initial value {y0} is not a residue mod {spec.m}")
+    return structure(spec).solution(y0.value)
 
 
 def truncation_depth(spec: ProblemSpec) -> int:

@@ -164,6 +164,12 @@ class TestSolveCommand:
     def test_out_of_range_digit(self, capsys, doc_path):
         assert main(["solve", "--input", doc_path(EX4), "--alpha", "3"]) == 2
         assert main(["solve", "--input", doc_path(EX4), "--alpha", "0,1,2"]) == 0
+        # a digit that the pinned start fixes is still checked when the caller gives one
+        pinned = ["solve", "--input", doc_path(EX3_EVEN), "--y0", "5", "--horizon", "4"]
+        assert main([*pinned, "--alpha", "99,1"]) == 2
+        assert "lift digit 99 at index 0 not in [0, 2)" in capsys.readouterr().err
+        assert main([*pinned, "--alpha", "0,99"]) == 2
+        assert main([*pinned, "--alpha", "1,1"]) == 0
         capsys.readouterr()
         assert main(["solve", "--input", doc_path(EX4), "--alpha", "1,x"]) == 2
         assert "expected comma-separated integers, got '1,x'" in capsys.readouterr().err
@@ -460,12 +466,23 @@ def test_solve_builds_one_residue_at_nilpotency_index_32(capsys, monkeypatch, bu
 
 
 def test_oracle_sweep_builds_fewer_than_three_residues_per_cell(built):
-    # candidates reach verify_solution as ints; what is left is the pinned start, the forced
-    # start residue and, from a cold shape cache, the nilpotency indices
+    # candidates reach verify_solution as ints, and starts reach Structure as ints; what is
+    # left, from a cold shape cache, is the nilpotency indices
     shape.cache_clear()
     report = run_oracle_sweep(6, 1, 0)
     assert report["ok"] and report["cells"] == 90
     assert len(built) < 3 * report["cells"]  # 1,421 while candidates were Residues
+
+
+def test_warm_sweeps_build_no_residue(built):
+    # with every shape cached, both sweeps ask Structure in ints: 318 to 321 Residues per
+    # seed while pinned starts and forced start residues were Residues
+    run_oracle_sweep(8, 1, 0)
+    run_uniqueness_sweep(8, 1, 0)
+    for seed in (1, 2):
+        built.clear()
+        assert run_oracle_sweep(8, 1, seed)["ok"] and run_uniqueness_sweep(8, 1, seed)["ok"]
+        assert built == []
 
 
 def test_oracle_sweep_classifies_each_pinned_start_once(monkeypatch):

@@ -65,7 +65,7 @@ def test_free_and_pinned_solutions_verify(spec, data):
 def test_reduced_value_matches_the_closed_forms(spec, data):
     reduced = reduce_by_gcd(spec)
     assume(reduced.m >= 2)
-    sp = split_problem(reduced.as_problem())
+    sp = split_problem(ProblemSpec(reduced.m, reduced.a, reduced.b, reduced.forcing))
     sol = general_solution(spec)
     x10 = data.draw(st.integers(0, sol.free_initial_modulus - 1))
     start = Residue(x10, sp.iso.split.m1)

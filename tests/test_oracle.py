@@ -241,6 +241,13 @@ def test_oracle_stays_independent_of_the_solver():
     assert not reached & {"solver", "crt"}
 
 
+def test_cli_talks_to_the_solver_in_ints():
+    # the CLI hands starts to Structure as ints, so it has no use for Residue or modring
+    imports = _zmdiff_imports(Path(zmdiff.__file__).with_name("cli.py"))
+    assert {"solver", "oracle", "problem"} <= imports  # the walk sees the imports that are there
+    assert "modring" not in imports
+
+
 class TestVerifySolution:
     def test_pass(self):
         seq = [4, 5, 0, 4]

@@ -112,7 +112,7 @@ class TestReduceByGcd:
         spec = ProblemSpec(6, 2, 3, SequenceSpec.from_ints([1, 2], 6))
         red = reduce_by_gcd(spec)
         assert (red.d, red.m, red.a, red.b) == (1, 6, 2, 3)
-        assert red.as_problem() == spec
+        assert ProblemSpec(red.m, red.a, red.b, red.forcing) == spec
 
     def test_collapse_to_null_ring(self):
         spec = ProblemSpec(4, 0, 0, SequenceSpec.from_ints([0, 0], 4))

@@ -91,7 +91,8 @@ def test_nilpotent_solution_needs_lookahead():
 
 
 def test_compatibility_residue():
-    assert structure(MIXED).compatibility == Residue(1, 3)
+    s = structure(MIXED)
+    assert (s.compatibility, s.shape.psplit.m2) == (1, 3)  # x[0] = 1 (mod m2' = 3)
     # the nilpotent side is trivial: every start value is consistent
     assert structure(EXPLICIT).compatibility is None
 
@@ -192,14 +193,14 @@ def test_aperiodic_start_verdicts_are_exact_or_name_the_terms_they_need(data):
     aperiodic = structure(spec_of(m, a, b, f))
     for y0 in range(m):
         try:
-            verdict = aperiodic.classify_initial(Residue(y0, m))
+            verdict = aperiodic.classify_initial(y0)
         except InsufficientLookahead as exc:
             assert exc.index + exc.window - 1 >= len(f)
             continue
         if verdict.kind == "infinitely_many" and verdict.support_qualified:
             continue
         for completion in completions:
-            assert completion.classify_initial(Residue(y0, m)).kind == verdict.kind
+            assert completion.classify_initial(y0).kind == verdict.kind
 
 
 class TestGeneralSolution:
@@ -282,6 +283,10 @@ class TestSolveInitialProblem:
         with pytest.raises(ValueError):
             solve_initial_problem(spec_of(12, 2, 6, [1]), Residue(0, 12))
 
+    def test_modulus_mismatch(self):
+        with pytest.raises(ModulusMismatch):
+            solve_initial_problem(MIXED, Residue(1, 12))
+
     def test_pinned_lift_digit(self):
         # x[0] = 7 = 3 + 1*4 fixes alpha[0] = 1; later digits stay free
         spec = spec_of(12, 6, 9, [3, 0, 6], period=3)
@@ -307,6 +312,31 @@ class TestSolveInitialProblem:
         assert [x.value for x in sol.sequence(3, 0, [0, 1, 2])] == [3, 1, 2]
 
 
+@given(st.data())
+def test_structure_takes_the_start_the_public_wrappers_take_as_a_residue(data):
+    """Structure takes x[0] = y0 as an int in [0, m); classify_initial_problem and
+    solve_initial_problem take it as a Residue, reduced from any representative, and
+    give the same verdict, the same solution values and the same refusal."""
+    m = data.draw(st.integers(2, 30))
+    a, b = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    scale = data.draw(st.sampled_from([1, math.gcd(a, b, m)]))  # often solvable
+    raw = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6))
+    spec = spec_of(m, a, b, [v * scale for v in raw], data.draw(st.integers(1, len(raw))))
+    s = structure(spec)
+    k = data.draw(st.integers(0, 3))
+    for y0 in (v + sign * k * m for v in range(m) for sign in (1, -1)):
+        start = Residue(y0, m)
+        assert s.classify_initial(y0 % m) == classify_initial_problem(spec, start)
+        try:
+            expected = solve_initial_problem(spec, start).values(8)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                s.solution(y0 % m)
+            assert str(err.value) == str(exc)
+        else:
+            assert s.solution(y0 % m).values(8) == expected
+
+
 def test_truncation_depth_values():
     assert truncation_depth(MIXED) == 1
     assert truncation_depth(FORCED) == 2
@@ -323,7 +353,7 @@ def _answers(s):
     m = s.spec.m
     sh = s.shape
     out = [sh.d, sh.split, sh.psplit, sh.ind_b2, sh.ind_b2_prime, sh.truncation, s.classify(),
-           [s.classify_initial(Residue(y0, m)) for y0 in range(m)]]
+           [s.classify_initial(y0) for y0 in range(m)]]
     if s.witness is None:
         out += [s.compatibility, s.window(0, 8, 0), s.window(3, 5, sh.psplit.m1 - 1)]
     return out

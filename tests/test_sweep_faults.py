@@ -11,7 +11,6 @@ import json
 import pytest
 
 from zmdiff import cli
-from zmdiff.modring import Residue
 from zmdiff.solver import Classification, InitialClassification, Structure
 
 SWEEP = ["sweep", "--m-max", "4", "--trials", "1", "--seed", "0"]
@@ -60,7 +59,7 @@ def initial_sequence(monkeypatch):
 def compat(monkeypatch):
     forced = Structure.__dict__["compatibility"].func
     monkeypatch.setattr(Structure, "compatibility", property(
-        lambda self: r if (r := forced(self)) is None else Residue(r.value + 1, r.modulus)))
+        lambda self: r if (r := forced(self)) is None else (r + 1) % self.shape.psplit.m2))
 
 
 # the uniqueness sweep classifies zero forcing, period 1, then random aperiodic forcing
@@ -70,8 +69,8 @@ def equivalence(monkeypatch):
 
 
 def homogeneous_nonzero(monkeypatch):
-    monkeypatch.setattr(cli.GeneralSolution, "value",
-                        lambda self, n, x10=0, alpha=(): Residue(1, self.modulus))
+    _wrap(monkeypatch, cli.GeneralSolution, "values", lambda orig: lambda self, *args: (
+        [1] * args[0] if self._structure.spec.forcing.period else orig(self, *args)))
 
 
 def forced_unique(monkeypatch):

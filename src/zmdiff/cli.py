@@ -30,7 +30,7 @@ import sys
 from itertools import islice, product
 from typing import Any
 
-from .oracle import BudgetExceeded, count_prefixes, verify_solution
+from .oracle import DEFAULT_BUDGET, BudgetExceeded, count_prefixes, verify_solution
 from .problem import InsufficientData, ProblemSpec, SequenceSpec
 from .solver import (
     Classification,
@@ -147,9 +147,8 @@ def _load(args: argparse.Namespace) -> tuple[ProblemSpec, int | None, int]:
 
 
 def _verdict_dict(cls: Classification | InitialClassification) -> dict:
-    """The verdict's kind and the fields that kind sets, residues by value; not the support flag."""
-    return {k: getattr(v, "value", v) for k, v in vars(cls).items()
-            if v is not None and k != "support_qualified"}
+    """The verdict's kind and the fields that kind sets; not the support flag."""
+    return {k: v for k, v in vars(cls).items() if v is not None and k != "support_qualified"}
 
 
 def _undecidable(exc: InsufficientLookahead) -> tuple[list[int], str]:
@@ -188,9 +187,8 @@ def _initial(st: Structure, y0: int) -> tuple[dict, list[str]]:
         if icls.reason == "divisibility":
             text = f"none (forcing term {icls.witness_index} not divisible by d)"
         elif icls.reason == "compatibility":
-            out["condition_modulus"] = icls.required.modulus
-            text = (f"none (needs x[0] = {icls.required.value} "
-                    f"(mod {icls.required.modulus}), got {icls.actual.value})")
+            text = (f"none (needs x[0] = {icls.required} "
+                    f"(mod {icls.condition_modulus}), got {icls.actual})")
         else:
             text = "unique solution" if icls.kind == "unique" else "infinitely many solutions"
     return out, [_kv(f"initial x[0]={y0}", text)]
@@ -470,7 +468,7 @@ def run_oracle_sweep(
     trials: int,
     seed: int,
     horizon: int = 5,
-    budget: int = 10_000_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """Solver-vs-brute-force agreement over every (m <= m_max, a, b) cell.
 
@@ -710,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     doc = option("--input", help="problem document path (default: stdin)")
     y0 = option("--y0", type=int, help="pin the start value (overrides the document)")
     horizon = option("--horizon", type=int, help="report indices 0..horizon-lookahead")
-    budget = option("--budget", type=int, default=10_000_000,
+    budget = option("--budget", type=int, default=DEFAULT_BUDGET,
                     help="oracle states: prefix positions times residues (default 1e7)")
 
     def command(name: str, handler, summary: str, *parents: argparse.ArgumentParser):

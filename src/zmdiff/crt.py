@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .modring import Factorization, ModulusMismatch, Residue
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplitModuli:
     """m == m1 * m2 with gcd(m1, m2) == 1."""
 

@@ -18,6 +18,8 @@ from operator import itemgetter
 from .modring import ModulusMismatch, Residue
 from .problem import InsufficientData, ProblemSpec
 
+DEFAULT_BUDGET = 10_000_000  # the help of the CLI's --budget says 1e7; keep the two in step
+
 
 class BudgetExceeded(RuntimeError):
     """The oracle's budget ran out; unit names what one unit of it pays for."""
@@ -40,7 +42,7 @@ def brute_force_prefixes(
     spec: ProblemSpec,
     horizon: int,
     y0: Residue | None = None,
-    budget: int = 10_000_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> PrefixSet:
     """Every solution prefix of the given length, built level by level.
 
@@ -77,7 +79,7 @@ def count_prefixes(
     spec: ProblemSpec,
     horizon: int,
     cut: int = 0,
-    budget: int = 10_000_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, list[int]]:
     """(count, starts): how many distinct prefixes x[0..horizon-cut-1] extend to a
     solution prefix of length `horizon`, and the ascending x[0] of those full prefixes.

@@ -3,13 +3,13 @@
 The split of Z_m by b separates the equation into an invertible-b part
 (solvable forward and backward from any start value) and a nilpotent-b part
 (one forced value per index, read off a finite window of future forcing
-terms). Everything else is bookkeeping, derived once per (m, a, b) in a
-Shape that every forcing shares: dividing through by d = gcd(a, b, m) gives
-an equation mod m/d that splits the same way, and the information lost by
-the division comes back as one free lift digit per index.
+terms). Everything else is bookkeeping, derived once per (m, a, b), in one
+pass, in a Shape that every forcing shares: dividing through by d = gcd(a, b, m)
+gives an equation mod m/d that splits the same way, and the information lost
+by the division comes back as one free lift digit per index.
 
-Structure takes and returns plain ints; a Residue start enters only through
-classify_initial_problem and solve_initial_problem, which check its modulus.
+Structure and the verdicts take and hold plain ints; a Residue start enters only
+through classify_initial_problem and solve_initial_problem, which check its modulus.
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ class InitialClassification:
     """Verdict for the pinned problem x[0] = y0.
 
     kind is "unique", "infinitely_many" or "none"; for "none", reason is
-    "divisibility" (witness_index set) or "compatibility" (required/actual
-    set, both over the relevant nilpotent-side modulus). support_qualified
+    "divisibility" (witness_index set) or "compatibility" (the ints required
+    and actual set, both reduced mod condition_modulus = m2'). support_qualified
     marks an "infinitely_many" whose divisibility check rested on a finite
     aperiodic prefix.
     """
@@ -134,8 +134,9 @@ class InitialClassification:
     kind: str
     reason: str | None = None
     witness_index: int | None = None
-    required: Residue | None = None
-    actual: Residue | None = None
+    required: int | None = None
+    actual: int | None = None
+    condition_modulus: int | None = None
     support_qualified: bool = False
 
 
@@ -143,8 +144,8 @@ def refusal(verdict: Classification | InitialClassification) -> str:
     """Why a problem whose verdict is "none" has no solution."""
     if getattr(verdict, "reason", None) == "compatibility":
         return (
-            f"no solution: start value must be {verdict.required.value} "
-            f"(mod {verdict.required.modulus}), got {verdict.actual.value}"
+            f"no solution: start value must be {verdict.required} "
+            f"(mod {verdict.condition_modulus}), got {verdict.actual}"
         )
     return f"no solution: forcing term {verdict.witness_index} is not divisible by d"
 
@@ -202,21 +203,20 @@ class GeneralSolution:
         return xs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Shape:
-    """What (m, a, b) alone decide, all derived by shape(): d = gcd(a, b, m), m split by b
-    (split), m' = m/d split by b/d (psplit, the same object when d == 1), the nilpotency
-    indices ind of b mod m2 and ind' of b/d mod m2' (None on a trivial side), and the kind.
+    """What (m, a, b) alone decide, all derived at once by shape(): d = gcd(a, b, m), m split by b
+    (split), m' = m/d split by b' = b/d (psplit, the same object when d == 1), the nilpotency
+    indices ind of b mod m2 and ind' of b' mod m2' (None on a trivial side), kind and kernel.
 
     A length-N constrained prefix leaves its last truncation = ind' positions partially free
     (none with a trivial nilpotent side): constraints n = 0..N-2 force the nilpotent-side
     value at n only when the whole window n..n+ind'-1 fits, so that many are cut before
     prefix counts are compared with the infinite problem's solution-set cardinalities. The
-    evaluator reads lookahead = ind' - 1 forcing terms past index n; only its constants
-    (_kernel) wait for the first window, since classify-only traffic never evaluates."""
+    evaluator reads lookahead = ind' - 1 forcing terms past index n. Its kernel holds a' = a/d,
+    b', b'^-1 mod m1', a'^-1 mod m2', the weights w_s = -a'^-(s+1) b'^s mod m2' for s < ind'
+    and the CRT units u1, u2; pow(x, -1, 1) == 0 zeroes a trivial side."""
 
-    a: int
-    b: int
     d: int
     split: SplitModuli
     psplit: SplitModuli
@@ -225,20 +225,10 @@ class Shape:
     truncation: int
     lookahead: int
     kind: str  # "explicit" | "nilpotent" | "mixed" | "lifted"
-
-    @cached_property
-    def _kernel(self) -> tuple[int, int, int, int, tuple[int, ...], int, int]:
-        """a', b', b'^-1 mod m1', a'^-1 mod m2', the weights w_s = -a'^-(s+1) b'^s mod m2'
-        for s < ind' and the CRT units u1, u2; pow(x, -1, 1) == 0 zeroes a trivial side."""
-        m1, m2 = self.psplit.m1, self.psplit.m2
-        a, b = self.a // self.d, self.b // self.d
-        ainv = pow(a, -1, m2)
-        weights = tuple(-pow(ainv, s + 1, m2) * pow(b, s, m2) % m2 for s in range(self.truncation))
-        iso = crt_iso(self.psplit)
-        return a, b, pow(b, -1, m1), ainv, weights, m2 * iso.e1, m1 * iso.e2
+    kernel: tuple[int, int, int, int, tuple[int, ...], int, int]
 
 
-@lru_cache(maxsize=1024)  # every cell of `sweep --m-max 12`, which its uniqueness sweep reuses
+@lru_cache(maxsize=256)  # the 203 cells up to m = 8; a sweep tries one cell's forcings in a row
 def shape(m: int, a: int, b: int) -> Shape:
     """The Shape of b*x[n+1] = a*x[n] + f[n] (mod m), for a and b reduced mod m."""
     d = math.gcd(a, b, m)
@@ -250,7 +240,11 @@ def shape(m: int, a: int, b: int) -> Shape:
         ind_p = nilpotency_index(Residue(b // d, psplit.m2)) if psplit.m2 != 1 else None
     kind = ("lifted" if d > 1 else "explicit" if split.m2 == 1
             else "nilpotent" if split.m1 == 1 else "mixed")
-    return Shape(a, b, d, split, psplit, ind, ind_p, ind_p or 0, (ind_p or 1) - 1, kind)
+    m1, m2, a, b = psplit.m1, psplit.m2, a // d, b // d
+    ainv, iso = pow(a, -1, m2), crt_iso(psplit)
+    weights = tuple(-pow(ainv, s + 1, m2) * pow(b, s, m2) % m2 for s in range(ind_p or 0))
+    kernel = (a, b, pow(b, -1, m1), ainv, weights, m2 * iso.e1, m1 * iso.e2)
+    return Shape(d, split, psplit, ind, ind_p, ind_p or 0, (ind_p or 1) - 1, kind, kernel)
 
 
 @dataclass(frozen=True)
@@ -275,7 +269,7 @@ class Structure:
         from the m1' side or when m' == 1, otherwise InsufficientLookahead.
         """
         sh = self.shape
-        a, b, binv, ainv, weights, u1, u2 = sh._kernel
+        a, b, binv, ainv, weights, u1, u2 = sh.kernel
         m1, m2, mp, ind = sh.psplit.m1, sh.psplit.m2, sh.psplit.m, len(weights)
         forcing, d = self.spec.forcing, sh.d
         stop, error = start + length, None
@@ -342,7 +336,7 @@ class Structure:
         if required is None or y0 % m2 == required:
             return InitialClassification(kind, support_qualified=qualified)
         return InitialClassification(
-            "none", reason="compatibility", required=Residue(required, m2), actual=Residue(y0, m2)
+            "none", reason="compatibility", required=required, actual=y0 % m2, condition_modulus=m2
         )
 
     def solution(self, y0: int | None = None) -> GeneralSolution:

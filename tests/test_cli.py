@@ -485,6 +485,18 @@ def test_warm_sweeps_build_no_residue(built):
         assert built == []
 
 
+@pytest.mark.parametrize("command", ["classify", "solve"])
+def test_warm_refusal_builds_no_residue(capsys, monkeypatch, built, command):
+    # x[0] = 2 breaks EX1's start condition x[0] = 1 (mod 3); with the shape cached, the
+    # refusal is told in ints: 2 Residues while its required/actual pair was Residues
+    for _ in range(2):
+        built.clear()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(EX1)))
+        assert main([command, "--y0", "2"]) == 1
+    assert "1 (mod 3), got 2" in capsys.readouterr().out
+    assert built == []
+
+
 def test_oracle_sweep_classifies_each_pinned_start_once(monkeypatch):
     # the pinned verdict comes from solution(y0) alone, not from a separate classify_initial
     calls = []

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from zmdiff.modring import ModulusMismatch, Residue
+from zmdiff.modring import ModulusMismatch, Residue, factorize
 from zmdiff.problem import InsufficientData, InvalidLiftDigit, ProblemSpec, SequenceSpec
 from zmdiff import solver
 from zmdiff.solver import (
@@ -131,8 +131,7 @@ class TestClassifyInitialProblem:
                 assert cls.kind == "unique"
             else:
                 assert (cls.kind, cls.reason) == ("none", "compatibility")
-                assert cls.required == Residue(1, 3)
-                assert cls.actual == Residue(y0 % 3, 3)
+                assert (cls.required, cls.actual, cls.condition_modulus) == (1, y0 % 3, 3)
 
     def test_explicit_always_unique(self):
         for y0 in range(5):
@@ -371,16 +370,19 @@ def test_problems_with_the_same_coefficients_share_one_shape(data):
     other = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6).filter(
         lambda g: [v * d % m for v in g] != raw))
     first = structure(spec_of(m, a, b, raw, len(raw)))  # any f, often not divisible by d
-    first_answers = _answers(first)  # fills the shape's one lazy attribute, _kernel
+    first_answers = _answers(first)
     second = structure(spec_of(m, a, b, [v * d for v in other], len(other)))  # solvable
     assert first.shape is second.shape
     fresh = solver.shape.__wrapped__(m, a, b)
-    assert fresh == first.shape
-    for lazy in ("ind_b2", "ind_b2_prime", "truncation", "lookahead", "kind", "_kernel"):
-        assert getattr(fresh, lazy) == getattr(second.shape, lazy)
+    assert fresh == first.shape  # every field, the evaluator's kernel included
     for s, answers in ((first, first_answers), (second, _answers(second))):
         assert answers == _answers(Structure(s.spec, solver.shape.__wrapped__(m, a, b), s.witness))
 
 
 def test_shape_cache_is_bounded():
-    assert solver.shape.cache_info().maxsize == 1024
+    assert solver.shape.cache_info().maxsize == 256
+
+
+def test_factorize_cache_is_bounded():
+    # shape() caches in front of it; 64 entries hold every modulus of a sweep up to m = 64
+    assert factorize.cache_info().maxsize == 64

@@ -7,10 +7,14 @@ names the CLI calls. Each kind must appear among the discrepancies, clear
 """
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
 from zmdiff import cli
+from zmdiff.oracle import DEFAULT_BUDGET
+from zmdiff.problem import ProblemSpec, SequenceSpec
 from zmdiff.solver import Classification, InitialClassification, Structure
 
 SWEEP = ["sweep", "--m-max", "4", "--trials", "1", "--seed", "0"]
@@ -88,6 +92,18 @@ def _assert_sweep_reports(capsys, argv, kind):
     text, report = capsys.readouterr().out.split("verdict: FAILED\n")
     assert f"discrepancy: {{'kind': '{kind}'" in text
     assert report and json.loads(report)["ok"] is False
+
+
+def test_start_condition_is_audited_at_d_above_1(monkeypatch):
+    # the sweep's uniform draws rarely give a solvable d > 1 cell, so one is audited here
+    forced = Structure.__dict__["compatibility"].func
+    monkeypatch.setattr(Structure, "compatibility", property(
+        lambda self: r if (r := forced(self)) is None or self.shape.d == 1
+        else (r + 1) % self.shape.psplit.m2))
+    spec = ProblemSpec(12, 2, 6, SequenceSpec.from_ints([2, 4, 0, 2, 4], 12))
+    out = []
+    cli._audit_cell(spec, 5, DEFAULT_BUDGET, random.Random(0), Counter(), out)
+    assert "compat" in {disc["kind"] for disc in out}
 
 
 def test_budget_is_reported(capsys):

@@ -27,6 +27,7 @@ import math
 import os
 import random
 import sys
+from collections.abc import Iterator
 from itertools import islice, product
 from typing import Any
 
@@ -408,14 +409,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _count_check(
     st: Structure, horizon: int, budget: int
-) -> tuple[int, int | None, int, list[int]]:
+) -> tuple[int, int | None, int, Iterator[int]]:
     """(expected, window witness, observed, starts): the oracle's count of the
     length-`horizon` prefixes, cut by st.shape.truncation, against its
-    prediction, and the ascending start values of the full prefixes.
+    prediction, and the ascending start values of the full prefixes, lazily.
 
     The prediction is exact for the constraint window f[0..horizon-2]: a
     later divisibility witness is invisible to prefixes of this length.
-    Raises BudgetExceeded when m * horizon outgrows `budget`.
+    Raises BudgetExceeded when sum(q) * horizon, q || m, outgrows `budget`.
     """
     witness = st.witness if st.witness is not None and st.witness < horizon - 1 else None
     sh = st.shape
@@ -532,6 +533,7 @@ def _audit_cell(
     except BudgetExceeded:
         flag("budget", budget=budget)
         return
+    starts = list(starts)
     row["count_checks"] += 1
     if observed != expected:
         flag("count", truncation=st.shape.truncation, expected=expected, observed=observed)
@@ -709,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     y0 = option("--y0", type=int, help="pin the start value (overrides the document)")
     horizon = option("--horizon", type=int, help="report indices 0..horizon-lookahead")
     budget = option("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="oracle states: prefix positions times residues (default 1e7)")
+                    help="oracle states: prefix length times sum of m's prime powers (default 1e7)")
 
     def command(name: str, handler, summary: str, *parents: argparse.ArgumentParser):
         p = sub.add_parser(name, help=summary, parents=[*parents, fmt])

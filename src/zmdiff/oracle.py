@@ -1,8 +1,9 @@
 """Brute-force ground truth for b*x[n+1] = a*x[n] + f[n] (mod m).
 
-Everything here works directly over Z_m, by enumeration or by counting
-paths (no splitting, no closed forms), so it can serve as an independent
-check of the solver. A length-N prefix is constrained only by the
+Everything here works by enumeration or by counting paths, with no closed
+forms and none of the solver's splitting, so it can serve as an independent
+check of the solver; count_prefixes splits Z_m only by the prime powers of m,
+by its own trial division. A length-N prefix is constrained only by the
 transitions n = 0..N-2, so its last positions are not yet pinned by the
 infinite problem; count_prefixes drops that tail when told its depth (the
 solver knows how deep it is). verify_solution checks a candidate of plain ints.
@@ -10,10 +11,10 @@ solver knows how deep it is). verify_solution checks a candidate of plain ints.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter
+from itertools import compress, cycle, repeat
+from operator import itemgetter, mul
 
 from .modring import ModulusMismatch, Residue
 from .problem import InsufficientData, ProblemSpec
@@ -75,45 +76,67 @@ def brute_force_prefixes(
     return PrefixSet(horizon, m, frozenset(level))
 
 
+def _prime_powers(m: int, budget: int) -> list[int]:
+    """The prime powers q || m by trial division, refused once their sum passes `budget`."""
+    qs, p = [], 2
+    while m > 1 and sum(qs) + p <= budget:  # every factor of m left is at least p
+        q = 1
+        while m % p == 0:
+            m, q = m // p, q * p
+        if q > 1:
+            qs.append(q)
+        p = m if p * p > m else p + 1 + (p > 2)  # past sqrt(m), what is left is prime
+    if m > 1 or sum(qs) > budget:
+        raise BudgetExceeded(budget)
+    return qs
+
+
 def count_prefixes(
     spec: ProblemSpec,
     horizon: int,
     cut: int = 0,
     budget: int = DEFAULT_BUDGET,
-) -> tuple[int, list[int]]:
+) -> tuple[int, Iterator[int]]:
     """(count, starts): how many distinct prefixes x[0..horizon-cut-1] extend to a
-    solution prefix of length `horizon`, and the ascending x[0] of those full prefixes.
+    solution prefix of length `horizon`, and the ascending x[0] of those full prefixes, lazily.
 
-    One backward pass over Z_m, the transfer-matrix method: v[x] counts the ways
-    on from x at position k. At position horizon-cut-1, v is clamped to 0/1 (x
-    extends to the full horizon or not), so earlier positions count kept paths,
-    not completions. Each (position, residue) state costs one unit of budget; m
-    must fit in it before anything is allocated. Needs f[0..horizon-2], read in full
-    only once m * horizon fits the budget; a short support is reported before that.
+    By the ring CRT, Z_m is the product of Z_q over the prime powers q || m, and a
+    prefix over Z_m is one prefix over each Z_q, cut alike: the count is the product
+    of the per-factor counts, and x starts a prefix when every x mod q does. Per
+    factor, one backward pass (the transfer-matrix method): v[x] counts the ways on
+    from x at position k, clamped to 0/1 at position horizon-cut-1 so that earlier
+    positions count kept paths, not completions. Each (position, residue mod q)
+    state costs one unit of budget; sum(q) must fit before anything is allocated.
+    Needs f[0..horizon-2], read in full only once sum(q) * horizon fits the budget;
+    a short support is reported before that.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if not 0 <= cut < horizon:
         raise ValueError(f"cut must lie in [0, {horizon}), got {cut}")
-    m, a, b = spec.m, spec.a, spec.b
-    if m > budget:
-        raise BudgetExceeded(budget)
+    a, b = spec.a, spec.b
+    qs = _prime_powers(spec.m, budget)
     # a short aperiodic support raises here; this reads at most len(f) + 1 terms
     spec.forcing.values(0, min(horizon - 1, len(spec.forcing.terms) + 1))
-    if m * horizon > budget:
+    if sum(qs) * horizon > budget:
         raise BudgetExceeded(budget)
     f = spec.forcing.values(0, horizon - 1)
-    bx = [b * x % m for x in range(m)]
-    gather = itemgetter(*[a * x % m for x in range(m)])
-    v = [1] * m
-    for k in reversed(range(horizon - 1)):
-        s = [0] * m
-        for t, c in zip(bx, v):
-            s[t] += c
-        v = gather(s[f[k]:] + s[:f[k]])  # v[x] = s[(a*x + f[k]) % m]
-        if k == horizon - cut - 1:
-            v = [1 if c else 0 for c in v]
-    return sum(v), list(compress(range(m), v))
+    count, joined = 1, repeat(1)
+    for q in qs:
+        bx = [b * x % q for x in range(q)]
+        gather = itemgetter(*[a * x % q for x in range(q)])
+        v = [1] * q
+        for k in reversed(range(horizon - 1)):
+            s = [0] * q
+            for t, c in zip(bx, v):
+                s[t] += c
+            v = gather(s[f[k] % q:] + s[:f[k] % q])  # v[x] = s[(a*x + f[k]) % q]
+            if k == horizon - cut - 1:
+                v = [1 if c else 0 for c in v]
+        count *= sum(v)
+        # x mod q runs through 0..q-1 over and over as x runs up Z_m
+        joined = map(mul, joined, cycle(v))
+    return count, compress(range(spec.m), joined)
 
 
 def verify_solution(

@@ -2,6 +2,8 @@ import io
 import json
 import os
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -300,6 +302,29 @@ class TestOracleCheckCommand:
     def test_budget_exceeded(self, capsys, doc_path):
         assert main(["oracle-check", "--input", doc_path(EX1), "--budget", "2"]) == 3
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, horizon", [
+        # 3 * 5 * 17 * 257 * 65537: 65,819 states per position, not 2**32 - 1
+        ({"m": 2**32 - 1, "a": 5, "b": 3 * 17 * 257 * 7, "f": [1, 2, 3], "f_period": 3}, 5),
+        # b = 2 is nilpotent of index 16 on 2**16, so the truncation is 16
+        ({"m": 2**16 * 3**4 * 5**2 * 7, "a": 3, "b": 2, "f": [1, 2, 3], "f_period": 3}, 20),
+    ], ids=["2^32-1", "2^16*3^4*5^2*7"])
+    def test_smooth_moduli_near_the_bound_fit_the_default_budget(
+        self, capsys, doc_path, doc, horizon
+    ):
+        argv = ["oracle-check", "--input", doc_path(doc), "--oracle-n", str(horizon)]
+        t0 = time.perf_counter()
+        assert main(argv) == 0
+        elapsed = time.perf_counter() - t0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out.count("agreement             yes\n") == 2
+        assert elapsed < 1.0  # 0.05 s and 0.14 s on 2 cores
+        assert peak < 32 * 2**20  # 7.4 MB: the tables are per prime power, none of size m
 
 
 class TestSweepCommand:

@@ -2,15 +2,17 @@ import ast
 import itertools
 import re
 import tracemalloc
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import zmdiff
-from zmdiff.modring import ModulusMismatch, Residue
+from zmdiff.modring import ModulusMismatch, Residue, factorize
 from zmdiff.oracle import (
     BudgetExceeded,
+    _prime_powers,
     brute_force_prefixes,
     count_prefixes,
     verify_solution,
@@ -23,6 +25,12 @@ def spec_of(m, a, b, f, period=None):
 
 
 MIXED = spec_of(6, 2, 3, [1, 2, 0, 1], period=4)
+
+
+def counted(*args, **kwargs):
+    """count_prefixes with its lazy starts read into a list."""
+    count, starts = count_prefixes(*args, **kwargs)
+    return count, list(starts)
 
 
 def successors(m, a, b, xn, fn):
@@ -51,8 +59,8 @@ class TestBruteForcePrefixes:
         assert pfx.horizon == 4 and pfx.modulus == 6
         # the last position is only constrained up to the step multiplicity
         assert len(pfx.sequences) == 6
-        assert count_prefixes(MIXED, 4, 1) == (2, [1, 4])
-        assert count_prefixes(MIXED, 4, 0) == (6, [1, 4])
+        assert counted(MIXED, 4, 1) == (2, [1, 4])
+        assert counted(MIXED, 4, 0) == (6, [1, 4])
 
     def test_members_satisfy_the_equation(self):
         pfx = brute_force_prefixes(MIXED, 5)
@@ -185,24 +193,93 @@ def test_count_prefixes_matches_brute_force(problem):
     starts = sorted({seq[0] for seq in pfx.sequences})
     for cut in range(horizon):
         kept = {seq[:horizon - cut] for seq in pfx.sequences}
-        assert count_prefixes(spec, horizon, cut) == (len(kept), starts)
+        assert counted(spec, horizon, cut) == (len(kept), starts)
 
 
 def test_count_prefixes_budget():
-    # m > budget is refused before anything of size m is built or a forcing term is read
-    huge = spec_of(2**32, 3, 6, [3], period=1)
+    # sum(q) > budget is refused before any table is built or a forcing term is read
+    huge = spec_of(2**32, 3, 6, [3], period=1)  # one prime power
     with pytest.raises(BudgetExceeded):
         count_prefixes(huge, 4, budget=1000)
     with pytest.raises(BudgetExceeded):
-        count_prefixes(spec_of(6, 0, 0, [0]), 4, budget=5)
-    # the forcing terms are read next, so a short support is reported before m * horizon
+        count_prefixes(spec_of(6, 0, 0, [0]), 4, budget=4)
+    # trial division stops once the factors left must outgrow the budget, here p > 1000
+    with pytest.raises(BudgetExceeded):
+        count_prefixes(spec_of(2**61 - 1, 3, 6, [3], period=1), 4, budget=1000)
+    # the forcing terms are read next, so a short support is reported before sum(q) * horizon
     with pytest.raises(InsufficientData):
-        count_prefixes(spec_of(6, 0, 0, [0]), 4, budget=6)
-    # one unit per (position, residue) state
+        count_prefixes(spec_of(6, 0, 0, [0]), 4, budget=5)
+    # one unit per (position, residue mod q) state: MIXED has m = 6 = 2 * 3, sum(q) = 5
     for horizon in range(1, 6):
-        assert count_prefixes(MIXED, horizon, budget=6 * horizon) == count_prefixes(MIXED, horizon)
+        assert counted(MIXED, horizon, budget=5 * horizon) == counted(MIXED, horizon)
         with pytest.raises(BudgetExceeded):
-            count_prefixes(MIXED, horizon, budget=6 * horizon - 1)
+            count_prefixes(MIXED, horizon, budget=5 * horizon - 1)
+    # 2**32 - 1 = 3 * 5 * 17 * 257 * 65537, sum(q) = 65819
+    smooth = spec_of(2**32 - 1, 5, 3, [3], period=1)
+    assert count_prefixes(smooth, 1, budget=65819)[0] == 2**32 - 1
+    with pytest.raises(BudgetExceeded):
+        count_prefixes(smooth, 1, budget=65818)
+
+
+def test_count_prefixes_builds_nothing_of_size_m():
+    # m = 2**6 * 5**6: a list of m entries takes 8 MB, the per-factor tables 64 + 15625 each
+    spec = spec_of(2**6 * 5**6, 3, 2, [3, 1], period=2)
+    tracemalloc.start()
+    try:
+        count, starts = count_prefixes(spec, 8, 6)
+        first = next(starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # b = 2 is invertible mod 5**6 and nilpotent of index 6 mod 2**6, which forces x[0] mod 64
+    assert (count, first) == (5**6, 49)
+
+
+def unfactored_count(spec, horizon, cut):
+    """count_prefixes as one backward pass over all of Z_m, with no prime-power split."""
+    m, a, b = spec.m, spec.a, spec.b
+    f = spec.forcing.values(0, horizon - 1)
+    bx = [b * x % m for x in range(m)]
+    gather = itemgetter(*[a * x % m for x in range(m)])
+    v = [1] * m
+    for k in reversed(range(horizon - 1)):
+        s = [0] * m
+        for t, c in zip(bx, v):
+            s[t] += c
+        v = gather(s[f[k]:] + s[:f[k]])  # v[x] = s[(a*x + f[k]) % m]
+        if k == horizon - cut - 1:
+            v = [1 if c else 0 for c in v]
+    return sum(v), list(itertools.compress(range(m), v))
+
+
+@st.composite
+def factored_problems(draw):
+    """m <= 120, N in 1..6, forcing periodic (period 1..4) or aperiodic and just long enough."""
+    m = draw(st.integers(2, 120))
+    horizon = draw(st.integers(1, 6))
+    period = draw(st.none() | st.integers(1, 4))
+    size = period or max(horizon - 1, 1)
+    f = draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size))
+    return spec_of(m, draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1)), f, period), horizon
+
+
+@given(factored_problems())
+def test_factored_count_matches_one_pass_over_z_m(problem):
+    spec, horizon = problem
+    for cut in range(horizon):
+        assert counted(spec, horizon, cut) == unfactored_count(spec, horizon, cut)
+
+
+@given(st.integers(2, 10**5))
+@example(2**32 - 1)
+@example(2**32)
+@example(4294967291)  # the largest prime below 2**32
+@example(2**16 * 3**4 * 5**2 * 7)
+@example(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23)
+def test_trial_division_agrees_with_factorize(m):
+    # the oracle factors m on its own; sum(q) <= m, so a budget of m never refuses
+    assert _prime_powers(m, m) == [p**k for p, k in factorize(m).factors]
 
 
 def test_count_prefixes_refuses_an_over_budget_length_before_reading_the_forcing():
@@ -239,6 +316,14 @@ def test_oracle_stays_independent_of_the_solver():
         todo |= {module.with_name(f"{stem}.py") for stem in _zmdiff_imports(module) - reached}
     assert {"modring", "problem"} <= reached  # the walk sees the imports that are there
     assert not reached & {"solver", "crt"}
+    # nor does it factor m with modring.factorize, which the solver's split rests on
+    tree = ast.parse(Path(zmdiff.__file__).with_name("oracle.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert {"itemgetter", "values", "ModulusMismatch"} <= names  # the walk sees every kind
+    assert "factorize" not in names
 
 
 def test_cli_talks_to_the_solver_in_ints():

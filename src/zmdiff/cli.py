@@ -51,6 +51,7 @@ EXIT_BROKEN_PIPE = 128 + 13  # killed by SIGPIPE, as a shell reports it
 
 MAX_MODULUS = 2**32
 MAX_INT = 2**63
+SWEEP_PREFIX = 5  # the length of the forcing and the prefixes of each oracle sweep cell
 
 DOCUMENT_FIELDS = ("m", "a", "b", "f", "f_period", "y0", "horizon")
 
@@ -160,8 +161,6 @@ def _undecidable(exc: InsufficientLookahead) -> tuple[list[int], str]:
 
 def _compatibility(st: Structure) -> tuple[dict | None, list[str]]:
     """The start-value condition over m2', if the problem has one: json and text lines."""
-    if st.witness is not None:
-        return None, []
     m2 = st.shape.psplit.m2
     try:
         req = st.compatibility
@@ -464,27 +463,22 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 # sweep engines (shared with the acceptance suite)
 
 
-def run_oracle_sweep(
-    m_max: int,
-    trials: int,
-    seed: int,
-    horizon: int = 5,
-    budget: int = DEFAULT_BUDGET,
-) -> dict:
+def run_oracle_sweep(m_max: int, trials: int, seed: int) -> dict:
     """Solver-vs-brute-force agreement over every (m <= m_max, a, b) cell.
 
     Per cell and trial: the truncated prefix count must match the closed-form
     prediction, every solver-produced sequence must verify, the least start
     of the oracle's prefixes must solve when pinned, and the start residue
-    mod m2' that a solvable cell forces, at any d, must be the oracle's. The
-    first modulus with a cell whose truncation depth reaches `horizon` is
-    2**horizon (b = 2), and such a cell has no prefix left to count, so
-    m_max must stay below it.
+    mod m2' that a solvable cell forces, at any d, must be the oracle's. From
+    m = 2**SWEEP_PREFIX on (b = 2) a cell's truncation depth reaches the
+    prefix length, leaving no prefix to count, so m_max stays below it, where
+    a count visits sum(q) * 5 <= 155 oracle states (q || m): no budget binds.
     """
-    if m_max >= 2**horizon:
+    if m_max >= 2**SWEEP_PREFIX:
+        n = SWEEP_PREFIX
         raise ValueError(
-            f"--m-max must be below 2**{horizon} = {2**horizon}: from m = {2**horizon} on, "
-            f"some cells have a truncation depth of {horizon}, the fixed prefix length"
+            f"--m-max must be below 2**{n} = {2**n}: from m = {2**n} on, "
+            f"some cells have a truncation depth of {n}, the fixed prefix length"
         )
     rng = random.Random(seed)
     discrepancies: list[dict] = []
@@ -495,10 +489,10 @@ def run_oracle_sweep(
         for a in range(m):
             for b in range(m):
                 for _ in range(trials):
-                    f = [rng.randrange(m) for _ in range(horizon)]
+                    f = [rng.randrange(m) for _ in range(SWEEP_PREFIX)]
                     spec = ProblemSpec(m, a, b, SequenceSpec.from_ints(f, m))
                     before = len(discrepancies)
-                    _audit_cell(spec, horizon, budget, rng, row, discrepancies)
+                    _audit_cell(spec, rng, row, discrepancies)
                     row["cells"] += 1
                     row["failures"] += len(discrepancies) - before
         per_m.append(row)
@@ -506,8 +500,7 @@ def run_oracle_sweep(
         "m_max": m_max,
         "trials": trials,
         "seed": seed,
-        "horizon": horizon,
-        "budget": budget,
+        "horizon": SWEEP_PREFIX,
         **{key: sum(row[key] for row in per_m) for key in checks},
         "per_m": per_m,
         "discrepancies": discrepancies,
@@ -515,24 +508,13 @@ def run_oracle_sweep(
     }
 
 
-def _audit_cell(
-    spec: ProblemSpec,
-    horizon: int,
-    budget: int,
-    rng: random.Random,
-    row: dict,
-    out: list[dict],
-) -> None:
+def _audit_cell(spec: ProblemSpec, rng: random.Random, row: dict, out: list[dict]) -> None:
     def flag(kind: str, **detail: Any) -> None:
         f = list(spec.forcing.terms)
         out.append({"kind": kind, "m": spec.m, "a": spec.a, "b": spec.b, "f": f, **detail})
 
     st = structure(spec)
-    try:
-        expected, _, observed, starts = _count_check(st, horizon, budget)
-    except BudgetExceeded:
-        flag("budget", budget=budget)
-        return
+    expected, _, observed, starts = _count_check(st, SWEEP_PREFIX, DEFAULT_BUDGET)
     starts = list(starts)
     row["count_checks"] += 1
     if observed != expected:
@@ -546,7 +528,7 @@ def _audit_cell(
             pass
     else:
         sol = st.solution()
-        seq_len = horizon - sol.lookahead
+        seq_len = SWEEP_PREFIX - sol.lookahead
         x10s = sorted({0, sol.free_initial_modulus - 1, rng.randrange(sol.free_initial_modulus)})
         if sol.lift_digit_bound > 1:
             alphas = [
@@ -569,12 +551,12 @@ def _audit_cell(
             except ValueError:
                 flag("initial_classify", y0=y0, verdict="none")
             else:
-                ok, idx = verify_solution(spec, isol.values(horizon - isol.lookahead), y0)
+                ok, idx = verify_solution(spec, isol.values(SWEEP_PREFIX - isol.lookahead), y0)
                 row["initial_checks"] += 1
                 if not ok:
                     flag("initial_sequence", y0=y0, failing_index=idx)
 
-    if st.witness is None and (required := st.compatibility) is not None:
+    if (required := st.compatibility) is not None:
         residues = {s % st.shape.psplit.m2 for s in starts}
         row["compat_checks"] += 1
         if residues != {required}:
@@ -638,8 +620,8 @@ def run_uniqueness_sweep(m_max: int, forcing_trials: int, seed: int) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _at_least(args, m_max=2, trials=1, budget=1)
-    oracle_report = run_oracle_sweep(args.m_max, args.trials, args.seed, budget=args.budget)
+    _at_least(args, m_max=2, trials=1)
+    oracle_report = run_oracle_sweep(args.m_max, args.trials, args.seed)
     uniqueness_report = run_uniqueness_sweep(args.m_max, args.trials, args.seed)
     ok = oracle_report["ok"] and uniqueness_report["ok"]
     report = {
@@ -710,8 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
     doc = option("--input", help="problem document path (default: stdin)")
     y0 = option("--y0", type=int, help="pin the start value (overrides the document)")
     horizon = option("--horizon", type=int, help="report indices 0..horizon-lookahead")
-    budget = option("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="oracle states: prefix length times sum of m's prime powers (default 1e7)")
 
     def command(name: str, handler, summary: str, *parents: argparse.ArgumentParser):
         p = sub.add_parser(name, help=summary, parents=[*parents, fmt])
@@ -729,10 +709,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify", cmd_verify, "check a candidate sequence against every transition",
                 doc, y0)
     p.add_argument("candidate", type=int, nargs="+", help="candidate values x[0] x[1] ...")
-    p = command("oracle-check", cmd_oracle_check, "compare counts against brute force",
-                doc, budget)
+    p = command("oracle-check", cmd_oracle_check, "compare counts against brute force", doc)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="oracle states: prefix length times sum of m's prime powers "
+                        "(default %(default)s)")
     p.add_argument("--oracle-n", type=int, default=5, help="prefix length (default 5)")
-    p = command("sweep", cmd_sweep, "oracle-agreement and equivalence sweeps", budget)
+    p = command("sweep", cmd_sweep, "oracle-agreement and equivalence sweeps")
     p.add_argument("--m-max", type=int, default=12, help="largest modulus (default 12)")
     p.add_argument("--trials", type=int, default=5, help="forcing sequences per cell (default 5)")
     p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")

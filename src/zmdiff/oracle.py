@@ -19,7 +19,7 @@ from operator import itemgetter, mul
 from .modring import ModulusMismatch, Residue
 from .problem import InsufficientData, ProblemSpec
 
-DEFAULT_BUDGET = 10_000_000  # the help of the CLI's --budget says 1e7; keep the two in step
+DEFAULT_BUDGET = 10_000_000
 
 
 class BudgetExceeded(RuntimeError):

@@ -259,7 +259,7 @@ class Structure:
     def window(self, start: int, length: int, x10: int) -> tuple[list[int], LookupError | None]:
         """x'[start..start+length-1] mod m' of the equation divided by d, started at x10 mod m1'.
 
-        Needs witness None and length >= 1. The m1' side steps
+        Needs length >= 1 and no witness (its callers check). The m1' side steps
         x[k+1] = b'^-1 (a' x[k] + f'[k]) forward from x10, in constant memory
         before start. The m2' side is the weighted sum of f'[n..n+ind'-1] at
         the window's last index n, stepped back by x[k] = a'^-1 (b' x[k+1] - f'[k]).
@@ -300,12 +300,12 @@ class Structure:
 
     @cached_property
     def compatibility(self) -> int | None:
-        """The start value mod m2' that the nilpotent side forces; None when that side is trivial.
+        """The start value mod m2' that the nilpotent side forces; None at a witness, where no
+        start solves, and None when that side is trivial.
 
-        Needs witness None. Raises InsufficientLookahead when the forcing
-        support is too short to decide it.
+        Raises InsufficientLookahead when the forcing support is too short to decide it.
         """
-        if self.shape.psplit.m2 == 1:
+        if self.witness is not None or self.shape.psplit.m2 == 1:
             return None
         values, error = self.window(0, 1, 0)
         if error is not None:

@@ -1,14 +1,18 @@
+import argparse
 import io
 import json
 import os
+import re
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from zmdiff.cli import (
     DocumentError,
+    build_parser,
     main,
     parse_document,
     run_uniqueness_sweep,
@@ -346,10 +350,15 @@ class TestSweepCommand:
         assert main(["sweep", "--m-max", "32"]) == 2
         assert "--m-max must be below 2**5 = 32" in capsys.readouterr().err
 
-    def test_m_max_limit_follows_the_horizon(self):
-        assert run_oracle_sweep(3, 1, 0, horizon=2)["ok"]
-        with pytest.raises(ValueError, match="below 2\\*\\*2 = 4"):
-            run_oracle_sweep(4, 1, 0, horizon=2)
+    def test_budget_flag_is_gone(self, capsys, monkeypatch):
+        # a sweep cell visits at most 155 oracle states, so there is no budget to set
+        def no_sweep(*args, **kwargs):
+            pytest.fail("started a sweep")
+
+        for name in ("run_oracle_sweep", "run_uniqueness_sweep"):
+            monkeypatch.setattr(f"zmdiff.cli.{name}", no_sweep)
+        assert main(["sweep", "--budget", "5"]) == 2
+        assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -357,7 +366,6 @@ class TestSweepCommand:
     [
         (["oracle-check", "--budget", "-1"], "--budget must be >= 1, got -1"),
         (["oracle-check", "--budget", "0"], "--budget must be >= 1, got 0"),
-        (["sweep", "--budget", "0"], "--budget must be >= 1, got 0"),
         (["sweep", "--trials", "0"], "--trials must be >= 1, got 0"),
         (["sweep", "--m-max", "1"], "--m-max must be >= 2, got 1"),
     ],
@@ -373,6 +381,19 @@ def test_malformed_work_flags_are_usage_errors(capsys, monkeypatch, argv, messag
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_readme_synopsis_lists_each_commands_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Commands", 1)[1].split("```")[1]
+    documented = {line.split()[1]: set(re.findall(r"--[a-z0-9-]+", line))
+                  for line in block.splitlines() if line.startswith("zmdiff ")}
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    declared = {name: {flag for action in sub._actions for flag in action.option_strings
+                       if flag.startswith("--")} - {"--format", "--help"}
+                for name, sub in commands.items()}
+    assert documented == declared
 
 
 class TestMainPlumbing:

@@ -97,6 +97,13 @@ def test_compatibility_residue():
     assert structure(EXPLICIT).compatibility is None
 
 
+def test_compatibility_is_none_at_a_witness():
+    # d = 2 does not divide f[0] = 1, so no start solves, though m2' = 3 is nontrivial
+    s = structure(spec_of(12, 2, 6, [1, 2, 0], period=3))
+    assert (s.witness, s.shape.psplit.m2) == (0, 3)
+    assert s.compatibility is None
+
+
 class TestClassifyEquation:
     def test_coprime_is_finite(self):
         cls = classify_equation(MIXED)

@@ -13,7 +13,6 @@ from collections import Counter
 import pytest
 
 from zmdiff import cli
-from zmdiff.oracle import DEFAULT_BUDGET
 from zmdiff.problem import ProblemSpec, SequenceSpec
 from zmdiff.solver import Classification, InitialClassification, Structure
 
@@ -102,16 +101,8 @@ def test_start_condition_is_audited_at_d_above_1(monkeypatch):
         else (r + 1) % self.shape.psplit.m2))
     spec = ProblemSpec(12, 2, 6, SequenceSpec.from_ints([2, 4, 0, 2, 4], 12))
     out = []
-    cli._audit_cell(spec, 5, DEFAULT_BUDGET, random.Random(0), Counter(), out)
+    cli._audit_cell(spec, random.Random(0), Counter(), out)
     assert "compat" in {disc["kind"] for disc in out}
-
-
-def test_budget_is_reported(capsys):
-    report = cli.run_oracle_sweep(3, 1, 0, budget=5)
-    assert not report["ok"]
-    assert "budget" in {disc["kind"] for disc in report["discrepancies"]}
-    _assert_sweep_reports(capsys, ["sweep", "--m-max", "3", "--trials", "1", "--seed", "0",
-                                   "--budget", "5"], "budget")
 
 
 @pytest.mark.parametrize("fault", ORACLE_FAULTS, ids=lambda fault: fault.__name__)

@@ -2,7 +2,8 @@
 
 Z_m factors as Z_m1 x Z_m2 where m2 collects exactly the prime powers of m
 whose prime divides b, and m1 the rest. Modulo m1 the element b is a unit;
-modulo m2 it is nilpotent. b == 0 sends everything to the m2 side.
+modulo m2 it is nilpotent. b == 0 sends everything to the m2 side. The split
+takes one gcd; m is never factored.
 """
 
 from __future__ import annotations
@@ -22,10 +23,15 @@ class SplitModuli:
     m2: int
 
 
+def coprime_split(m: int, b: int) -> SplitModuli:
+    """Split m by b: p**k || m has k <= log2(m), so b**bit_length(m) holds every p**k with p | b."""
+    m2 = math.gcd(m, pow(b, m.bit_length(), m))
+    return SplitModuli(m, m // m2, m2)
+
+
 def split_modulus(fact_m: Factorization, b: int) -> SplitModuli:
-    """Partition the prime powers of m by whether their prime divides b."""
-    m2 = math.prod(p**k for p, k in fact_m.factors if b % p == 0)
-    return SplitModuli(fact_m.n, fact_m.n // m2, m2)
+    """coprime_split of fact_m.n by b; the prime powers themselves are not read."""
+    return coprime_split(fact_m.n, b)
 
 
 @dataclass(frozen=True)

@@ -148,8 +148,8 @@ def factorize(n: int) -> Factorization:
     Brent's cycle finding (BIT 20, 1980) until every part passes Miller-Rabin
     to those bases, exact below FACTOR_LIMIT ~ 3.187e23 (Sorenson & Webster,
     Math. Comp. 86, 2017); past it this raises ValueError, as no answer could
-    be proven. Sub-millisecond for n <= 2**32. solver.shape caches in front,
-    so 64 entries suffice: every modulus of a sweep up to m = 64.
+    be proven. Sub-millisecond for n <= 2**32. No command calls it: the
+    solver splits m by one gcd (crt.coprime_split), which needs no prime.
     """
     if not 1 <= n < FACTOR_LIMIT:
         raise ValueError(f"can only factor integers in [1, {FACTOR_LIMIT}), got {n}")

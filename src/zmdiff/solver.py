@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from operator import mul
 
-from .crt import CrtIso, SplitModuli, crt_iso, split_modulus
-from .modring import ModulusMismatch, Residue, factorize, nilpotency_index
+from .crt import CrtIso, SplitModuli, coprime_split, crt_iso
+from .modring import ModulusMismatch, Residue, nilpotency_index
 from .problem import (
     InsufficientData,
     InvalidLiftDigit,
@@ -206,8 +206,9 @@ class GeneralSolution:
 @dataclass(frozen=True, slots=True)
 class Shape:
     """What (m, a, b) alone decide, all derived at once by shape(): d = gcd(a, b, m), m split by b
-    (split), m' = m/d split by b' = b/d (psplit, the same object when d == 1), the nilpotency
-    indices ind of b mod m2 and ind' of b' mod m2' (None on a trivial side), kind and kernel.
+    (split), m' = m/d split by b' = b/d (psplit, the same object when d == 1), each by one gcd
+    (crt.coprime_split), the nilpotency indices ind of b mod m2 and ind' of b' mod m2' (None on
+    a trivial side), kind and kernel.
 
     A length-N constrained prefix leaves its last truncation = ind' positions partially free
     (none with a trivial nilpotent side): constraints n = 0..N-2 force the nilpotent-side
@@ -230,13 +231,13 @@ class Shape:
 
 @lru_cache(maxsize=256)  # the 203 cells up to m = 8; a sweep tries one cell's forcings in a row
 def shape(m: int, a: int, b: int) -> Shape:
-    """The Shape of b*x[n+1] = a*x[n] + f[n] (mod m), for a and b reduced mod m."""
+    """The Shape of b*x[n+1] = a*x[n] + f[n] (mod m) for a, b reduced mod m; m is never factored."""
     d = math.gcd(a, b, m)
-    split = split_modulus(factorize(m), b)
+    split = coprime_split(m, b)
     ind = nilpotency_index(Residue(b, split.m2)) if split.m2 != 1 else None
     psplit, ind_p = split, ind  # b/d == b when d == 1
     if d > 1:
-        psplit = split_modulus(factorize(m // d), b // d)
+        psplit = coprime_split(m // d, b // d)
         ind_p = nilpotency_index(Residue(b // d, psplit.m2)) if psplit.m2 != 1 else None
     kind = ("lifted" if d > 1 else "explicit" if split.m2 == 1
             else "nilpotent" if split.m1 == 1 else "mixed")

@@ -361,14 +361,17 @@ class TestSweepCommand:
         assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
 
 
+MALFORMED_WORK_FLAGS = [
+    (["oracle-check", "--budget", "-1"], "--budget must be >= 1, got -1"),
+    (["oracle-check", "--budget", "0"], "--budget must be >= 1, got 0"),
+    (["sweep", "--trials", "0"], "--trials must be >= 1, got 0"),
+    (["sweep", "--m-max", "1"], "--m-max must be >= 2, got 1"),
+]
+
+
+# ids from the argv, so that adding or removing a case renames no other
 @pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["oracle-check", "--budget", "-1"], "--budget must be >= 1, got -1"),
-        (["oracle-check", "--budget", "0"], "--budget must be >= 1, got 0"),
-        (["sweep", "--trials", "0"], "--trials must be >= 1, got 0"),
-        (["sweep", "--m-max", "1"], "--m-max must be >= 2, got 1"),
-    ],
+    "argv, message", MALFORMED_WORK_FLAGS, ids=[" ".join(argv) for argv, _ in MALFORMED_WORK_FLAGS]
 )
 def test_malformed_work_flags_are_usage_errors(capsys, monkeypatch, argv, message):
     def no_work(*args, **kwargs):
@@ -509,6 +512,41 @@ def test_solve_builds_one_residue_at_nilpotency_index_32(capsys, monkeypatch, bu
     assert main(["solve", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["lookahead"] == 31
     assert len(built) == 1  # 32 while the index multiplied Residues
+
+
+# m = 12 * 357913931 (a prime), b = 6: a 32-bit modulus no other test uses, m2 = 12
+FRESH32 = {"m": 4294967172, "a": 5, "b": 6, "f": [3, 1, 4], "f_period": 3}
+
+
+@pytest.mark.parametrize("doc", [FRESH32, BIG_IND32], ids=["fresh32", "big_ind32"])
+def test_no_command_factors_m(capsys, monkeypatch, doc):
+    # the split takes gcds alone, so a cold shape needs no prime of m
+    factored = []
+
+    def refuse(n):
+        factored.append(n)
+        raise AssertionError(f"factored {n}")
+
+    # modring's, and any copy a module bound with `from .modring import factorize`
+    for name, module in list(sys.modules.items()):
+        if name.startswith("zmdiff") and hasattr(module, "factorize"):
+            monkeypatch.setattr(module, "factorize", refuse)
+    shape.cache_clear()
+
+    def run(*argv):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        rc = main([*argv, "--format", "json"])
+        return rc, capsys.readouterr().out
+
+    rc, out = run("solve", "--horizon", "40")
+    assert rc == 0
+    values = json.loads(out)["values"]
+    assert run("classify", "--y0", str(values[0]))[0] == 0
+    assert run("enumerate", "--max", "2")[0] == 0
+    assert run("verify", *map(str, values))[0] == 0
+    # one prime power of m (357913931, or 2**32) is past the default budget: exit 3
+    assert run("oracle-check", "--oracle-n", "34")[0] == 3
+    assert factored == []
 
 
 def test_oracle_sweep_builds_fewer_than_three_residues_per_cell(built):

@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from zmdiff.crt import crt_iso, project, combine, split_modulus
-from zmdiff.modring import Residue, factorize
+from zmdiff.crt import coprime_split, crt_iso, project, combine, split_modulus
+from zmdiff.modring import FACTOR_LIMIT, Residue, factorize
+
+from test_modring import trial_division
 
 
 def split_for(m, b):
@@ -33,6 +36,71 @@ def test_split_parts_multiply_back():
                 assert b % p == 0
             for p, _ in factorize(s.m1).factors:
                 assert b % p != 0
+
+
+def prime_powers(m):
+    """[(p, p**k) for p**k || m], by trial division: the partition the split must match."""
+    return [(p, p**k) for p, k in trial_division(m).factors]
+
+
+def partition(powers, b):
+    m2 = math.prod(q for p, q in powers if b % p == 0)
+    return math.prod(q for _, q in powers) // m2, m2
+
+
+def splits_like_the_partition(m, b, powers):
+    s = coprime_split(m, b)
+    return (s.m, s.m1, s.m2) == (m, *partition(powers, b))
+
+
+def test_gcd_split_matches_the_prime_power_partition_for_every_b():
+    for m in range(1, 2001):
+        m2 = [1] * m  # m2[b] collects q = p**k || m for each p | b
+        for p, q in prime_powers(m):
+            m2[::p] = [x * q for x in m2[::p]]
+        splits = map(coprime_split, itertools.repeat(m), range(m))
+        assert [s.m2 for s in splits] == m2, m  # m1 = m // m2; the tests below check it
+
+
+MODULI = st.one_of(
+    st.integers(1, 2**32),
+    st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=24).map(math.prod),  # smooth
+    st.builds(lambda k, c: 2**k * c, st.integers(1, 16), st.integers(1, 2**16)),
+)
+
+
+@given(MODULI, st.sampled_from([0, 1, -1, None]), st.integers(0, 2**64))
+def test_gcd_split_matches_the_prime_power_partition(m, special, other):
+    b = (other if special is None else special) % m  # 0, 1, m - 1 or any b
+    assert splits_like_the_partition(m, b, prime_powers(m))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [2**32, 2**32 - 1, 4294967291, 2**16 * 3**4 * 5**2 * 7, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23],
+    ids=str,
+)
+def test_gcd_split_at_the_bound(m):
+    # b = the product of each set of m's primes, alone, times a prime unit, and cubed
+    powers = prime_powers(m)
+    primes = [p for p, _ in powers]
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(primes, k) for k in range(len(primes) + 1))
+    for b in (math.prod(s) for s in subsets):
+        for c in (b, b * 4294967311, b**3 * 65521):
+            assert splits_like_the_partition(m, c % m, powers), c
+    assert all(splits_like_the_partition(m, b % m, powers) for b in (0, 1, -1, 2**31 + 11))
+
+
+def test_gcd_split_past_factorize_limit():
+    # factorize refuses past FACTOR_LIMIT; the split needs no prime, so it does not
+    powers = [(2, 2**5), (3, 3**2), (2**61 - 1, (2**61 - 1) ** 2)]
+    m = math.prod(q for _, q in powers)
+    assert m >= FACTOR_LIMIT
+    with pytest.raises(ValueError):
+        factorize(m)
+    for b in (0, 1, m - 1, 6, 2**61 - 1, 3 * (2**61 - 1), 2**40 * 5, 7**30):
+        assert splits_like_the_partition(m, b, powers), b
 
 
 def test_combine_known_value():

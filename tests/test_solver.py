@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -391,5 +393,19 @@ def test_shape_cache_is_bounded():
 
 
 def test_factorize_cache_is_bounded():
-    # shape() caches in front of it; 64 entries hold every modulus of a sweep up to m = 64
+    # no command calls it; 64 entries hold every modulus of a sweep up to m = 64
     assert factorize.cache_info().maxsize == 64
+
+
+@pytest.mark.parametrize(
+    "module, imported", [("solver.py", "coprime_split"), ("cli.py", "structure")]
+)
+def test_no_command_path_names_factorize(module, imported):
+    # shape() splits m by one gcd; factoring m is left to the tests and the benchmark
+    tree = ast.parse(Path(solver.__file__).with_name(module).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert {"gcd", "math", imported} <= names  # the walk sees every kind of name
+    assert "factorize" not in names

@@ -3,12 +3,14 @@
 Residues are kept canonical (0 <= value < modulus) at all times. Z_1 is
 supported as the null ring: it has the single element 0, which serves as
 both the zero and the unit, and inverts to itself.
+
+prime_powers is the package's one trial division; its limit caps the sum of
+the prime powers it returns, and so the divisors it tries.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -100,60 +102,33 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-FACTOR_LIMIT = 318665857834031151167461  # the least strong pseudoprime to all these bases
+FACTOR_LIMIT = 2**32 + 1  # factorize's domain ends at the CLI's largest modulus, 2**32
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases _SMALL_PRIMES; exact for odd 37 < n < FACTOR_LIMIT."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 == q * 2**s with q odd
-    for base in _SMALL_PRIMES:
-        x = pow(base, (n - 1) >> s, n)
-        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
-            return False
-    return True
-
-
-def _rho(n: int) -> int:
-    """A proper factor of the odd composite n: Pollard's rho with Brent's cycle finding."""
-    for c in range(1, n):
-        y, r, g = 2, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-                if (g := math.gcd(x - y, n)) != 1:
-                    break
-            r *= 2
-        if g != n:
-            return g
-
-
-def _prime_factors(n: int) -> list[int]:
-    """The primes of n with multiplicity, in no particular order."""
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return [p, *_prime_factors(n // p)]
-    if n < 41 * 41 or _is_prime(n):  # n has no prime factor up to 37
-        return [n] if n > 1 else []
-    g = _rho(n)
-    return _prime_factors(g) + _prime_factors(n // g)
+def prime_powers(n: int, limit: int) -> list[tuple[int, int]] | None:
+    """The (p, k) with p**k || n >= 1, primes ascending, by trial division; None once
+    sum(p**k) would pass limit, so it tries at most min(sqrt(n), limit) divisors."""
+    out, total, p = [], 0, 2
+    while n > 1 and total + p <= limit:  # every factor of n left is at least p
+        k = 0
+        while n % p == 0:
+            n, k = n // p, k + 1
+        if k:
+            out.append((p, k))
+            total += p**k
+        p = n if p * p > n else p + 1 + (p > 2)  # past sqrt(n), what is left is prime
+    return out if n == 1 and total <= limit else None
 
 
 @lru_cache(maxsize=64)
 def factorize(n: int) -> Factorization:
-    """Factor 1 <= n < FACTOR_LIMIT; Factorization(1, ()) for n == 1.
-
-    Divides out the primes up to 37, then splits the rest by Pollard's rho with
-    Brent's cycle finding (BIT 20, 1980) until every part passes Miller-Rabin
-    to those bases, exact below FACTOR_LIMIT ~ 3.187e23 (Sorenson & Webster,
-    Math. Comp. 86, 2017); past it this raises ValueError, as no answer could
-    be proven. Sub-millisecond for n <= 2**32. No command calls it: the
-    solver splits m by one gcd (crt.coprime_split), which needs no prime.
-    """
+    """Factor 1 <= n < FACTOR_LIMIT by prime_powers(n, n), which never refuses, as
+    coprime prime powers sum to at most their product; some 2**15 divisions at worst,
+    on a prime near 2**32. No command calls it: the solver splits m by one gcd
+    (crt.coprime_split), and the oracle calls prime_powers with its budget."""
     if not 1 <= n < FACTOR_LIMIT:
         raise ValueError(f"can only factor integers in [1, {FACTOR_LIMIT}), got {n}")
-    return Factorization(n, tuple(sorted(Counter(_prime_factors(n)).items())))
+    return Factorization(n, tuple(prime_powers(n, n)))
 
 
 def nilpotency_index(x: Residue) -> int:

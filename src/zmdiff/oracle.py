@@ -2,11 +2,11 @@
 
 Everything here works by enumeration or by counting paths, with no closed
 forms and none of the solver's splitting, so it can serve as an independent
-check of the solver; count_prefixes splits Z_m only by the prime powers of m,
-by its own trial division. A length-N prefix is constrained only by the
-transitions n = 0..N-2, so its last positions are not yet pinned by the
-infinite problem; count_prefixes drops that tail when told its depth (the
-solver knows how deep it is). verify_solution checks a candidate of plain ints.
+check of the solver; count_prefixes splits Z_m only by the prime powers of m, from
+modring.prime_powers (the one trial division) under the budget. A length-N prefix is
+constrained only by the transitions n = 0..N-2, so its last positions are not yet
+pinned by the infinite problem; count_prefixes drops that tail when told its depth
+(the solver knows how deep it is). verify_solution checks a candidate of plain ints.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import compress, cycle, repeat
 from operator import itemgetter, mul
 
-from .modring import ModulusMismatch, Residue
+from .modring import ModulusMismatch, Residue, prime_powers
 from .problem import InsufficientData, ProblemSpec
 
 DEFAULT_BUDGET = 10_000_000
@@ -76,21 +76,6 @@ def brute_force_prefixes(
     return PrefixSet(horizon, m, frozenset(level))
 
 
-def _prime_powers(m: int, budget: int) -> list[int]:
-    """The prime powers q || m by trial division, refused once their sum passes `budget`."""
-    qs, p = [], 2
-    while m > 1 and sum(qs) + p <= budget:  # every factor of m left is at least p
-        q = 1
-        while m % p == 0:
-            m, q = m // p, q * p
-        if q > 1:
-            qs.append(q)
-        p = m if p * p > m else p + 1 + (p > 2)  # past sqrt(m), what is left is prime
-    if m > 1 or sum(qs) > budget:
-        raise BudgetExceeded(budget)
-    return qs
-
-
 def count_prefixes(
     spec: ProblemSpec,
     horizon: int,
@@ -106,7 +91,8 @@ def count_prefixes(
     factor, one backward pass (the transfer-matrix method): v[x] counts the ways on
     from x at position k, clamped to 0/1 at position horizon-cut-1 so that earlier
     positions count kept paths, not completions. Each (position, residue mod q)
-    state costs one unit of budget; sum(q) must fit before anything is allocated.
+    state costs one unit of budget; sum(q) must fit before anything is allocated,
+    so prime_powers, given the budget as its limit, tries at most min(sqrt(m), budget).
     Needs f[0..horizon-2], read in full only once sum(q) * horizon fits the budget;
     a short support is reported before that.
     """
@@ -115,7 +101,10 @@ def count_prefixes(
     if not 0 <= cut < horizon:
         raise ValueError(f"cut must lie in [0, {horizon}), got {cut}")
     a, b = spec.a, spec.b
-    qs = _prime_powers(spec.m, budget)
+    powers = prime_powers(spec.m, budget)
+    if powers is None:
+        raise BudgetExceeded(budget)
+    qs = [p**k for p, k in powers]
     # a short aperiodic support raises here; this reads at most len(f) + 1 terms
     spec.forcing.values(0, min(horizon - 1, len(spec.forcing.terms) + 1))
     if sum(qs) * horizon > budget:

@@ -266,6 +266,21 @@ def test_null_ring_stops_at_the_support_as_verify_does(capsys, doc_path, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["solve", "enumerate"])
+def test_horizon_must_cover_the_lookahead(capsys, doc_path, command):
+    # lookahead 3: horizon 2 is refused, and horizon 3 leaves a one-value window
+    path = doc_path({"m": 48, "a": 1, "b": 2, "f": [5, 0, 7], "f_period": 2})
+    assert main([command, "--input", path, "--horizon", "2", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: horizon 2 is smaller than the lookahead 3\n"
+    assert captured.out == ""
+    assert main([command, "--input", path, "--horizon", "3", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["last_index"] == 0
+    if command == "solve":
+        assert (report["lookahead"], report["values"]) == (3, [15])
+
+
 class TestOracleCheckCommand:
     def test_agreement(self, capsys, doc_path):
         assert main(["oracle-check", "--input", doc_path(EX1), "--oracle-n", "5"]) == 0

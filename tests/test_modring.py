@@ -129,13 +129,11 @@ def test_factorize_matches_trial_division(n):
 
 
 def test_factorize_refuses_past_its_exact_bound():
-    # the bound is the least strong pseudoprime to all twelve bases, so the
-    # primality test would take it for a prime
-    assert FACTOR_LIMIT == 399165290221 * 798330580441
+    # the domain ends at the CLI's largest modulus, 2**32
+    assert FACTOR_LIMIT == 2**32 + 1
     with pytest.raises(ValueError, match=str(FACTOR_LIMIT)):
         factorize(FACTOR_LIMIT)
-    below = factorize(FACTOR_LIMIT - 1)
-    assert math.prod(p**k for p, k in below.factors) == FACTOR_LIMIT - 1
+    assert factorize(2**32).factors == ((2, 32),)
 
 
 @given(st.integers(1, 10**6))

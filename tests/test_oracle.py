@@ -9,15 +9,16 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import zmdiff
-from zmdiff.modring import ModulusMismatch, Residue, factorize
+from zmdiff.modring import ModulusMismatch, Residue, prime_powers
 from zmdiff.oracle import (
     BudgetExceeded,
-    _prime_powers,
     brute_force_prefixes,
     count_prefixes,
     verify_solution,
 )
 from zmdiff.problem import InsufficientData, ProblemSpec, SequenceSpec
+
+from test_modring import trial_division
 
 
 def spec_of(m, a, b, f, period=None):
@@ -271,15 +272,29 @@ def test_factored_count_matches_one_pass_over_z_m(problem):
         assert counted(spec, horizon, cut) == unfactored_count(spec, horizon, cut)
 
 
-@given(st.integers(2, 10**5))
-@example(2**32 - 1)
-@example(2**32)
-@example(4294967291)  # the largest prime below 2**32
-@example(2**16 * 3**4 * 5**2 * 7)
-@example(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23)
-def test_trial_division_agrees_with_factorize(m):
-    # the oracle factors m on its own; sum(q) <= m, so a budget of m never refuses
-    assert _prime_powers(m, m) == [p**k for p, k in factorize(m).factors]
+@given(st.integers(1, 10**5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n + 1))))
+@example((2**32 - 1, 2**32 - 1))
+@example((2**32 - 1, 65819))  # 3 + 5 + 17 + 257 + 65537: the last prime fits exactly
+@example((2**32 - 1, 65818))
+@example((2**32, 2**32))
+@example((4294967291, 4294967291))  # the largest prime below 2**32
+@example((2**16 * 3**4 * 5**2 * 7, 2**16 * 3**4 * 5**2 * 7))
+@example((2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23))
+def test_prime_powers_matches_trial_division_within_its_limit(case):
+    # the same (p, k) while their p**k sum to at most the limit, and None past it
+    n, limit = case
+    factors = list(trial_division(n).factors)
+    assert prime_powers(n, limit) == (factors if sum(p**k for p, k in factors) <= limit else None)
+
+
+def test_prime_powers_refuses_without_dividing_past_its_limit():
+    # 2**61 - 1 is prime: dividing up to its square root would try about 7.6e8 numbers
+    class Watched(int):
+        def __mod__(self, p):
+            assert p <= 1000, f"divided by {p}, past the limit"
+            return int(self) % p
+
+    assert prime_powers(Watched(2**61 - 1), 1000) is None
 
 
 def test_count_prefixes_refuses_an_over_budget_length_before_reading_the_forcing():
@@ -316,7 +331,7 @@ def test_oracle_stays_independent_of_the_solver():
         todo |= {module.with_name(f"{stem}.py") for stem in _zmdiff_imports(module) - reached}
     assert {"modring", "problem"} <= reached  # the walk sees the imports that are there
     assert not reached & {"solver", "crt"}
-    # nor does it factor m with modring.factorize, which the solver's split rests on
+    # nor does it call modring.factorize, which has no budget: m is factored under one
     tree = ast.parse(Path(zmdiff.__file__).with_name("oracle.py").read_text())
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}

@@ -393,7 +393,8 @@ def test_shape_cache_is_bounded():
 
 
 def test_factorize_cache_is_bounded():
-    # no command calls it; 64 entries hold every modulus of a sweep up to m = 64
+    # no command calls it; `bench/run.py --trace 1` reads its cache_info, and the bound
+    # keeps criterion 7's thousand random n from being held for the life of the process
     assert factorize.cache_info().maxsize == 64
 
 

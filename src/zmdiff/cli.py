@@ -135,7 +135,7 @@ def _load(args: argparse.Namespace) -> tuple[ProblemSpec, int | None, int]:
         text = sys.stdin.read()
     try:
         data = json.loads(text, object_pairs_hook=_Fields)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
         raise DocumentError("<document>", f"invalid JSON: {exc}") from None
     if isinstance(data, dict):  # anything else is parse_document's to reject
         if data.repeated is not None:  # a nested object fails later, by its field's type

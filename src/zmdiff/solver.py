@@ -18,7 +18,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from operator import mul
 
 from .crt import CrtIso, SplitModuli, coprime_split, crt_iso
 from .modring import ModulusMismatch, Residue, nilpotency_index
@@ -215,8 +214,8 @@ class Shape:
     value at n only when the whole window n..n+ind'-1 fits, so that many are cut before
     prefix counts are compared with the infinite problem's solution-set cardinalities. The
     evaluator reads lookahead = ind' - 1 forcing terms past index n. Its kernel holds a' = a/d,
-    b', b'^-1 mod m1', a'^-1 mod m2', the weights w_s = -a'^-(s+1) b'^s mod m2' for s < ind'
-    and the CRT units u1, u2; pow(x, -1, 1) == 0 zeroes a trivial side."""
+    b', b'^-1 mod m1', a'^-1 mod m2' and the CRT units u1, u2; pow(x, -1, 1) == 0 zeroes a
+    trivial side."""
 
     d: int
     split: SplitModuli
@@ -226,7 +225,7 @@ class Shape:
     truncation: int
     lookahead: int
     kind: str  # "explicit" | "nilpotent" | "mixed" | "lifted"
-    kernel: tuple[int, int, int, int, tuple[int, ...], int, int]
+    kernel: tuple[int, int, int, int, int, int]
 
 
 @lru_cache(maxsize=256)  # the 203 cells up to m = 8; a sweep tries one cell's forcings in a row
@@ -242,9 +241,8 @@ def shape(m: int, a: int, b: int) -> Shape:
     kind = ("lifted" if d > 1 else "explicit" if split.m2 == 1
             else "nilpotent" if split.m1 == 1 else "mixed")
     m1, m2, a, b = psplit.m1, psplit.m2, a // d, b // d
-    ainv, iso = pow(a, -1, m2), crt_iso(psplit)
-    weights = tuple(-pow(ainv, s + 1, m2) * pow(b, s, m2) % m2 for s in range(ind_p or 0))
-    kernel = (a, b, pow(b, -1, m1), ainv, weights, m2 * iso.e1, m1 * iso.e2)
+    iso = crt_iso(psplit)
+    kernel = (a, b, pow(b, -1, m1), pow(a, -1, m2), m2 * iso.e1, m1 * iso.e2)
     return Shape(d, split, psplit, ind, ind_p, ind_p or 0, (ind_p or 1) - 1, kind, kernel)
 
 
@@ -262,16 +260,16 @@ class Structure:
 
         Needs length >= 1 and no witness (its callers check). The m1' side steps
         x[k+1] = b'^-1 (a' x[k] + f'[k]) forward from x10, in constant memory
-        before start. The m2' side is the weighted sum of f'[n..n+ind'-1] at
-        the window's last index n, stepped back by x[k] = a'^-1 (b' x[k+1] - f'[k]).
-        The CRT units join them; f'[k] = f[k] / d, each read once. On an
+        before start. The m2' side steps x[k] = a'^-1 (b' x[k+1] - f'[k]) back
+        from 0 at ind' past the last index: (a'^-1 b')^ind' = 0 mod m2' drops
+        that 0. The CRT units join them; f'[k] = f[k] / d, each read once. On an
         aperiodic support the values stop before the first index that reads
         past it, and that index's error comes back with them: InsufficientData
         from the m1' side or when m' == 1, otherwise InsufficientLookahead.
         """
         sh = self.shape
-        a, b, binv, ainv, weights, u1, u2 = sh.kernel
-        m1, m2, mp, ind = sh.psplit.m1, sh.psplit.m2, sh.psplit.m, len(weights)
+        a, b, binv, ainv, u1, u2 = sh.kernel
+        m1, m2, mp, ind = sh.psplit.m1, sh.psplit.m2, sh.psplit.m, sh.truncation
         forcing, d = self.spec.forcing, sh.d
         stop, error = start + length, None
         if forcing.period is None:
@@ -289,10 +287,10 @@ class Structure:
         head = (fk for lo in range(0, start if m1 > 1 else 0, 4096)
                 for fk in forcing.values(lo, min(lo + 4096, start)))
         x1 = reduce(lambda x, fk: binv * (a * x + fk // d) % m1, head, x10 % m1)
-        x2 = sum(map(mul, weights, f[n - 1 :])) % m2
-        out = [x2] * n
-        for j in range(n - 2, -1, -1):
+        out, x2 = [0] * (len(f) + 1), 0
+        for j in range(len(f) - 1, -1, -1):
             x2 = out[j] = ainv * (b * x2 - f[j]) % m2
+        del out[n:]
         out[0] = (u1 * x1 + u2 * out[0]) % mp
         for j, fk in enumerate(f[: n - 1], 1):
             x1 = binv * (a * x1 + fk) % m1

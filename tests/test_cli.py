@@ -437,6 +437,15 @@ class TestMainPlumbing:
         assert captured.err.startswith("error: field '<document>': invalid JSON")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+    def test_oversized_integer_literal_is_invalid_json(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"m":' + "7" * 5000 + ',"a":1,"b":1,"f":[1]}'))
+        assert main(["classify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: field '<document>': invalid JSON: Exceeds the limit")
+        assert captured.err.count("\n") == 1
+
     def test_duplicate_field_is_rejected_by_name(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"m":6,"a":2,"b":3,"f":[1],"m":7}'))
         assert main(["classify"]) == 2

@@ -1,12 +1,12 @@
 """The integer evaluator behind every solution, against the Residue closed forms.
 
 Structure.window evaluates a whole window on ints: it steps the invertible
-side forward once and the nilpotent side back from one weighted sum at the
-window's last index. These tests hold it to verify_solution, to the
-per-index value() loop and the int evaluator values() (values and errors
-alike) and to the reference closed forms (explicit_solution,
-nilpotent_solution, combine) on the gcd-reduced problem, including at the
-documented bounds and long horizons.
+side forward once, and the nilpotent side back from 0 placed ind' indices
+past the window's last index, a start that (a'^-1 b')^ind' = 0 wipes out. These
+tests hold it to verify_solution, to the per-index value() loop and the int
+evaluator values() (values and errors alike) and to the reference closed
+forms (explicit_solution, nilpotent_solution, combine) on the gcd-reduced
+problem, including at and past the documented bounds and at long horizons.
 """
 
 import contextlib
@@ -61,18 +61,38 @@ def test_free_and_pinned_solutions_verify(spec, data):
     assert verify_solution(spec, pinned.values(WINDOW, 0, alpha), seq[0]) == (True, None)
 
 
-@given(solvable_problems(), st.data())
-def test_reduced_value_matches_the_closed_forms(spec, data):
+def _assert_value_matches_the_closed_forms(spec, x10, indices):
     reduced = reduce_by_gcd(spec)
-    assume(reduced.m >= 2)
     sp = split_problem(ProblemSpec(reduced.m, reduced.a, reduced.b, reduced.forcing))
     sol = general_solution(spec)
-    x10 = data.draw(st.integers(0, sol.free_initial_modulus - 1))
     start = Residue(x10, sp.iso.split.m1)
-    for n in range(41):
+    for n in indices:
         x1 = explicit_solution(sp.a1, sp.b1, start, sp.f1, n)
         x2 = nilpotent_solution(sp.a2, sp.b2, sp.f2, n)
         assert sol.value(n, x10).value % reduced.m == combine(sp.iso, x1, x2).value
+
+
+@given(solvable_problems(), st.data())
+def test_reduced_value_matches_the_closed_forms(spec, data):
+    assume(reduce_by_gcd(spec).m >= 2)
+    x10 = data.draw(st.integers(0, general_solution(spec).free_initial_modulus - 1))
+    _assert_value_matches_the_closed_forms(spec, x10, range(41))
+
+
+@pytest.mark.parametrize(
+    "m, a, b, indices",
+    [
+        (2**20 * 3**7, 5, 6, range(41)),  # ind' 20, long_window's nilpotent shape
+        (2**32, 1, 2, range(41)),  # ind' 32
+        (2**32 * 3**5 * 1000003, 5, 6, range(41)),  # ind' 32 beside an m1' side
+        (2**1024 * 3**5, 5, 6, range(3)),  # ind' 1024, past the CLI's modulus cap
+    ],
+    ids=["ind20", "ind32", "ind32-mixed", "ind1024"],
+)
+def test_window_matches_the_closed_forms_at_large_nilpotency_index(m, a, b, indices):
+    spec = ProblemSpec(m, a, b, SequenceSpec.from_ints([7, 1, m - 1, 12345], m, period=3))
+    x10 = general_solution(spec).free_initial_modulus - 1
+    _assert_value_matches_the_closed_forms(spec, x10, indices)
 
 
 def test_index_32_window_verifies():
@@ -81,6 +101,18 @@ def test_index_32_window_verifies():
     sol = general_solution(spec)
     assert sol.lookahead == 31
     assert verify_solution(spec, sol.values(200)) == (True, None)
+
+
+def test_index_4096_window_verifies():
+    m = 2**4096
+    spec = ProblemSpec(m, 3, 2, SequenceSpec.from_ints([1, m - 5, 2**4000 + 1], m, period=2))
+    sol = general_solution(spec)
+    assert sol.lookahead == 4095
+    values = sol.values(50)
+    assert verify_solution(spec, values) == (True, None)
+    # each transition inside a window holds by construction; odd forcing makes every forced
+    # value odd, so a last value seeded one step short would differ from the longer window's
+    assert sol.values(51)[:50] == values
 
 
 def test_deep_explicit_value_matches_the_closed_form():

@@ -29,6 +29,7 @@ import random
 import sys
 from collections.abc import Iterator
 from itertools import islice, product
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .oracle import DEFAULT_BUDGET, BudgetExceeded, count_prefixes, verify_solution
@@ -196,10 +197,29 @@ def _initial(st: Structure, y0: int) -> tuple[dict, list[str]]:
 
 def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2))
+        print(_json(report))
+    elif text_lines:
+        print("\n".join(text_lines))
+
+
+def _json(obj: Any, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for dicts with str keys; a list of exact
+    ints is joined in one call, where the stdlib's indenting encoder steps item by item."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if not obj or not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)  # None, bools, floats and empty containers
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = (f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if set(map(type, obj)) == {int}:
+        items = map(int.__repr__, obj)
     else:
-        for line in text_lines:
-            print(line)
+        items = (_json(v, inner) for v in obj)
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
 def _kv(label: str, value: Any) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import cycle, islice
 
 from .modring import InvalidModulus, ModulusMismatch, Residue
 
@@ -64,10 +65,19 @@ class SequenceSpec:
         if lo < 0:
             raise ValueError(f"forcing index must be non-negative, got {lo}")
         terms, size, p = self.terms, len(self.terms), self.period
-        if p is None and hi > max(lo, size):
-            raise InsufficientData(max(lo, size))
-        start = size - (p or 0)  # past the prefix, indices fold into its final period window
-        return [terms[n if n < size else start + (n - start) % p] for n in range(lo, hi)]
+        if hi <= lo:
+            return []
+        if hi <= size:
+            return list(terms[lo:hi])
+        k = max(lo, size)
+        if p is None:
+            raise InsufficientData(k)
+        # past the prefix, rotate its final period window once to the phase of k and cycle it
+        start = size - p
+        phase = start + (k - start) % p
+        out = list(terms[lo:size])
+        out.extend(islice(cycle(terms[phase:] + terms[start:phase]), hi - k))
+        return out
 
 
 @dataclass(frozen=True)

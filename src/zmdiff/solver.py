@@ -262,10 +262,12 @@ class Structure:
         x[k+1] = b'^-1 (a' x[k] + f'[k]) forward from x10, in constant memory
         before start. The m2' side steps x[k] = a'^-1 (b' x[k+1] - f'[k]) back
         from 0 at ind' past the last index: (a'^-1 b')^ind' = 0 mod m2' drops
-        that 0. The CRT units join them; f'[k] = f[k] / d, each read once. On an
-        aperiodic support the values stop before the first index that reads
-        past it, and that index's error comes back with them: InsufficientData
-        from the m1' side or when m' == 1, otherwise InsufficientLookahead.
+        that 0. The CRT units join them; when one side has modulus 1, it is not
+        stepped and the other comes back alone. f'[k] = f[k] / d (f itself at
+        d == 1), each read once. On an aperiodic support the values stop before
+        the first index that reads past it, and that index's error comes back
+        with them: InsufficientData from the m1' side or when m' == 1, otherwise
+        InsufficientLookahead.
         """
         sh = self.shape
         a, b, binv, ainv, u1, u2 = sh.kernel
@@ -282,15 +284,25 @@ class Structure:
         n = stop - start
         if n == 0:
             return [], error
-        f = [v // d for v in forcing.values(start, stop + ind - 1)]
+        f = forcing.values(start, stop + ind - 1)
+        if d > 1:
+            f = [v // d for v in f]
         # step the m1' side to start, 4096 terms at a time; a trivial m1' side is 0 throughout
         head = (fk for lo in range(0, start if m1 > 1 else 0, 4096)
                 for fk in forcing.values(lo, min(lo + 4096, start)))
         x1 = reduce(lambda x, fk: binv * (a * x + fk // d) % m1, head, x10 % m1)
+        if m2 == 1:  # x' is the m1' side alone; ind' == 0, so f holds just the n - 1 steps
+            out = [x1]
+            for fk in f:
+                x1 = binv * (a * x1 + fk) % m1
+                out.append(x1)
+            return out, error
         out, x2 = [0] * (len(f) + 1), 0
         for j in range(len(f) - 1, -1, -1):
             x2 = out[j] = ainv * (b * x2 - f[j]) % m2
         del out[n:]
+        if m1 == 1:  # x' is the m2' side alone
+            return out, error
         out[0] = (u1 * x1 + u2 * out[0]) % mp
         for j, fk in enumerate(f[: n - 1], 1):
             x1 = binv * (a * x1 + fk) % m1

@@ -9,9 +9,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from zmdiff.cli import (
     DocumentError,
+    _json,
     build_parser,
     main,
     parse_document,
@@ -467,12 +469,13 @@ class TestMainPlumbing:
             def write(self, text):
                 raise BrokenPipeError(32, "Broken pipe")
 
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EX1)))
-        monkeypatch.setattr("sys.stdout", ClosedPipe())
-        assert main(["solve", "--format", "json"]) == 141
-        # later writes, such as the interpreter's final flush, go to devnull
-        assert sys.stdout.name == os.devnull
-        sys.stdout.close()
+        for fmt in ("json", "text"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EX1)))
+            monkeypatch.setattr("sys.stdout", ClosedPipe())
+            assert main(["solve", "--format", fmt]) == 141
+            # later writes, such as the interpreter's final flush, go to devnull
+            assert sys.stdout.name == os.devnull
+            sys.stdout.close()
         assert capsys.readouterr().err == ""
 
     def test_y0_flag_overrides_document(self, capsys, doc_path):
@@ -487,6 +490,22 @@ class TestMainPlumbing:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+
+INTS = st.integers(-(2**64), 2**64)
+STRINGS = st.text(st.sampled_from('a "\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | INTS | st.floats(allow_nan=False, allow_infinity=False) | STRINGS,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(STRINGS, inner) | st.lists(INTS | st.booleans())),
+    max_leaves=16,
+)
+
+
+@given(JSON_VALUES)
+def test_json_emitter_writes_the_bytes_of_indented_dumps(value):
+    # bools mixed into int lists must not take the joined-int path: True is not 1
+    assert _json(value) == json.dumps(value, indent=2)
 
 
 def test_sweep_engines_are_deterministic():

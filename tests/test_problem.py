@@ -59,7 +59,7 @@ def test_values_read_what_term_reads(raw, data):
     period = data.draw(st.none() | st.integers(1, len(raw)))
     f = SequenceSpec.from_ints(raw, 12, period)
     lo = data.draw(st.integers(0, 10))
-    hi = data.draw(st.integers(0, 16))
+    hi = data.draw(st.integers(-1, 16))  # hi = -1 is an empty candidate's read, values(0, -1)
     extended = list(raw)  # by the definition f[n] = f[n - period] past the prefix
     while period and len(extended) < hi:
         extended.append(extended[-period])
@@ -70,7 +70,19 @@ def test_values_read_what_term_reads(raw, data):
             f.values(lo, hi)
         assert err.value.index == exc.index == next(k for k in range(lo, hi) if k >= len(raw))
         return
-    assert f.values(lo, hi) == expected == extended[lo:hi]
+    assert f.values(lo, hi) == expected == extended[lo:max(lo, hi)]
+
+
+@given(st.lists(st.integers(0, 11), min_size=1, max_size=6), st.data())
+def test_far_periodic_reads_follow_the_index_formula(raw, data):
+    # past the prefix f[n] = f[start + (n - start) mod p], start = len(f) - p, at any lo
+    period = data.draw(st.integers(1, len(raw)))
+    f = SequenceSpec.from_ints(raw, 12, period)
+    lo = data.draw(st.integers(0, 12) | st.integers(0, 10**6))
+    hi = lo + data.draw(st.integers(-1, 3 * len(raw)))
+    start = len(raw) - period
+    expected = [raw[n if n < len(raw) else start + (n - start) % period] for n in range(lo, hi)]
+    assert f.values(lo, hi) == expected
 
 
 class TestProblemSpec:

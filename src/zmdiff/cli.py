@@ -741,10 +741,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """build_parser().parse_args(argv): the same namespace, messages and exits, but an argv
+    that names a command skips the top-level pass that only picks it. None reads sys.argv[1:]."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extra = commands[argv[0]].parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

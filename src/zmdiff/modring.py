@@ -132,14 +132,16 @@ def factorize(n: int) -> Factorization:
 
 
 def nilpotency_index(x: Residue) -> int:
-    """Least k >= 1 with x**k == 0, by iterated multiplication on plain ints.
+    """Least k >= 1 with x**k == 0; see index_of_nilpotency."""
+    return index_of_nilpotency(x.value, x.modulus)
 
-    For a nilpotent element the index never exceeds log2(modulus), so the
-    search is cut off after bit_length(modulus) steps.
-    """
-    power, m = x.value, x.modulus
+
+def index_of_nilpotency(value: int, m: int) -> int:
+    """Least k >= 1 with value**k == 0 (mod m), by iterated multiplication on plain ints; a
+    nilpotent element's index is at most log2(m), so the search stops after bit_length(m) steps."""
+    power = value % m
     for k in range(1, m.bit_length() + 1):
         if power == 0:
             return k
-        power = power * x.value % m
-    raise NotNilpotent(f"{x} is not nilpotent")
+        power = power * value % m
+    raise NotNilpotent(f"[{value % m}]_{m} is not nilpotent")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
 from .crt import CrtIso, SplitModuli, coprime_split, crt_iso
-from .modring import ModulusMismatch, Residue, nilpotency_index
+from .modring import ModulusMismatch, Residue, index_of_nilpotency, nilpotency_index
 from .problem import (
     InsufficientData,
     InvalidLiftDigit,
@@ -159,9 +159,9 @@ class GeneralSolution:
     initial condition then overrides it); value(n, ...) and sequence(length, ...)
     return Residues, the only ones built here. All read Structure.window, started at
     x10 plus the pinned start residue mod m1', and add alpha[n]*m' when d > 1.
-    Evaluating index n consumes forcing terms up through n + lookahead; a window
-    costs one step per value plus lookahead, and value(n) steps n times in
-    O(lookahead) memory.
+    Evaluating index n consumes forcing terms up through n + lookahead; a window costs one
+    step per value plus lookahead (a long periodic one, on its nilpotent side, one per stored
+    term plus lookahead), and value(n) steps n times in O(lookahead) memory.
     """
 
     kind: str  # "explicit" | "nilpotent" | "mixed" | "lifted"
@@ -233,16 +233,15 @@ def shape(m: int, a: int, b: int) -> Shape:
     """The Shape of b*x[n+1] = a*x[n] + f[n] (mod m) for a, b reduced mod m; m is never factored."""
     d = math.gcd(a, b, m)
     split = coprime_split(m, b)
-    ind = nilpotency_index(Residue(b, split.m2)) if split.m2 != 1 else None
+    ind = index_of_nilpotency(b, split.m2) if split.m2 != 1 else None
     psplit, ind_p = split, ind  # b/d == b when d == 1
     if d > 1:
         psplit = coprime_split(m // d, b // d)
-        ind_p = nilpotency_index(Residue(b // d, psplit.m2)) if psplit.m2 != 1 else None
+        ind_p = index_of_nilpotency(b // d, psplit.m2) if psplit.m2 != 1 else None
     kind = ("lifted" if d > 1 else "explicit" if split.m2 == 1
             else "nilpotent" if split.m1 == 1 else "mixed")
     m1, m2, a, b = psplit.m1, psplit.m2, a // d, b // d
-    iso = crt_iso(psplit)
-    kernel = (a, b, pow(b, -1, m1), pow(a, -1, m2), m2 * iso.e1, m1 * iso.e2)
+    kernel = (a, b, pow(b, -1, m1), pow(a, -1, m2), m2 * pow(m2, -1, m1), m1 * pow(m1, -1, m2))
     return Shape(d, split, psplit, ind, ind_p, ind_p or 0, (ind_p or 1) - 1, kind, kernel)
 
 
@@ -262,21 +261,23 @@ class Structure:
         x[k+1] = b'^-1 (a' x[k] + f'[k]) forward from x10, in constant memory
         before start. The m2' side steps x[k] = a'^-1 (b' x[k+1] - f'[k]) back
         from 0 at ind' past the last index: (a'^-1 b')^ind' = 0 mod m2' drops
-        that 0. The CRT units join them; when one side has modulus 1, it is not
-        stepped and the other comes back alone. f'[k] = f[k] / d (f itself at
-        d == 1), each read once. On an aperiodic support the values stop before
-        the first index that reads past it, and that index's error comes back
-        with them: InsufficientData from the m1' side or when m' == 1, otherwise
-        InsufficientLookahead.
+        that 0. An m2' value sums f'[k..k+ind'-1] alone, so under a period p that
+        side repeats from len(f) - p on: a long window steps it back from len(f)
+        + ind' - 1 instead and cycles the last p values. The CRT units join the
+        sides; when one has modulus 1, it is not stepped and the other comes back
+        alone. f'[k] = f[k] / d (f itself at d == 1). On an aperiodic support the
+        values stop before the first index that reads past it, and that index's
+        error comes back with them: InsufficientData from the m1' side or when
+        m' == 1, otherwise InsufficientLookahead.
         """
         sh = self.shape
         a, b, binv, ainv, u1, u2 = sh.kernel
         m1, m2, mp, ind = sh.psplit.m1, sh.psplit.m2, sh.psplit.m, sh.truncation
         forcing, d = self.spec.forcing, sh.d
+        size, p = len(forcing.terms), forcing.period
         stop, error = start + length, None
-        if forcing.period is None:
+        if p is None:
             # index n rests on f[0..n-1] and f'[n..n+ind'-1], so it needs n <= len(f) - ind'
-            size = len(forcing.terms)
             if size + 1 - ind < stop:
                 stop = max(size + 1 - ind, start)
                 error = (InsufficientData(size) if stop > size and (m1 > 1 or mp == 1)
@@ -284,7 +285,10 @@ class Structure:
         n = stop - start
         if n == 0:
             return [], error
-        f = forcing.values(start, stop + ind - 1)
+        # cycling the m2' side saves n - len(f) back steps; it is taken when they outnumber
+        # the len(f) + ind' - 1 steps it still takes and the p values it rotates
+        cyc = m2 > 1 and p is not None and n - size > size + ind - 1 + p
+        f = forcing.values(0, size + ind - 1) if cyc else forcing.values(start, stop + ind - 1)
         if d > 1:
             f = [v // d for v in f]
         # step the m1' side to start, 4096 terms at a time; a trivial m1' side is 0 throughout
@@ -300,9 +304,14 @@ class Structure:
         out, x2 = [0] * (len(f) + 1), 0
         for j in range(len(f) - 1, -1, -1):
             x2 = out[j] = ainv * (b * x2 - f[j]) % m2
-        del out[n:]
+        del out[size if cyc else n:]
+        if cyc:  # x2[0..len(f)-1], continued with the period of f
+            out = SequenceSpec(tuple(out), m2, p).values(start, stop)
         if m1 == 1:  # x' is the m2' side alone
             return out, error
+        if cyc:  # the m1' side steps over the window's own f'
+            f = forcing.values(start, stop - 1)
+            f = [v // d for v in f] if d > 1 else f
         out[0] = (u1 * x1 + u2 * out[0]) % mp
         for j, fk in enumerate(f[: n - 1], 1):
             x1 = binv * (a * x1 + fk) % m1

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import given, strategies as st
 from zmdiff.cli import (
     DocumentError,
     _json,
+    _parse_args,
     build_parser,
     main,
     parse_document,
@@ -416,6 +418,46 @@ def test_readme_synopsis_lists_each_commands_flags():
     assert documented == declared
 
 
+COMMANDS = ("classify", "solve", "enumerate", "verify", "oracle-check", "sweep")
+FLAGS = ("--format", "--input", "--y0", "--horizon", "--x10", "--alpha", "--max", "--budget",
+         "--oracle-n", "--m-max", "--trials", "--seed", "-h", "--help", "--",
+         "--format=json", "--hor", "--for", "--h", "--m", "-x")
+VALUES = ("json", "text", "xml", "3", "-1", "0", "1,2", "1,,2", "abc", "1.5", "", "problem.json")
+JUNK = ("solv", "help", "-", "---", "--nope", "junk", "--y0=4")
+
+
+def _parsed(parse, argv):
+    """(vars of the namespace or the SystemExit code, stdout, stderr) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@given(st.one_of(st.sampled_from(COMMANDS), st.sampled_from(FLAGS + VALUES + JUNK)),
+       st.lists(st.sampled_from(COMMANDS + FLAGS + VALUES + JUNK), max_size=7), st.booleans())
+def test_dispatch_parses_as_the_top_level_parser_does(first, rest, from_sys_argv):
+    # straight to the command's parser, or through the top-level one: the same namespace,
+    # or the same exit code and bytes of help and usage error
+    argv = [first, *rest]
+    if from_sys_argv:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys, "argv", ["zmdiff", *argv])
+            assert _parsed(_parse_args, None) == _parsed(build_parser().parse_args, None)
+    else:
+        assert _parsed(_parse_args, argv) == _parsed(build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--"], ["bogus"], ["solve", "--horizon", "3", "x"],
+                                  ["verify", "1", "2", "--nope"], ["sweep", "-h"]])
+def test_dispatch_keeps_the_usage_messages(argv):
+    assert _parsed(_parse_args, argv) == _parsed(build_parser().parse_args, argv)
+    assert _parsed(_parse_args, argv)[0][0] == "exit"
+
+
 class TestMainPlumbing:
     def test_stdin_document(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EX1)))
@@ -548,13 +590,13 @@ def test_solve_builds_residues_independently_of_the_forcing_length_and_horizon(
     assert len(counts) == 1
 
 
-def test_solve_builds_one_residue_at_nilpotency_index_32(capsys, monkeypatch, built):
-    # m = 2**32, b = 2: the nilpotency index steps on ints, so only its argument is a Residue
+def test_solve_builds_no_residue_at_nilpotency_index_32(capsys, monkeypatch, built):
+    # m = 2**32, b = 2: a cold shape finds the nilpotency index on ints, from an int b
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(BIG_IND32)))
     shape.cache_clear()
     assert main(["solve", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["lookahead"] == 31
-    assert len(built) == 1  # 32 while the index multiplied Residues
+    assert len(built) == 0  # 32 while the index multiplied Residues, 1 while b was one
 
 
 # m = 12 * 357913931 (a prime), b = 6: a 32-bit modulus no other test uses, m2 = 12
@@ -592,13 +634,13 @@ def test_no_command_factors_m(capsys, monkeypatch, doc):
     assert factored == []
 
 
-def test_oracle_sweep_builds_fewer_than_three_residues_per_cell(built):
-    # candidates reach verify_solution as ints, and starts reach Structure as ints; what is
-    # left, from a cold shape cache, is the nilpotency indices
+def test_oracle_sweep_builds_no_residue_from_a_cold_shape_cache(built):
+    # candidates reach verify_solution as ints, starts reach Structure as ints, and a cold
+    # shape finds its nilpotency indices on ints
     shape.cache_clear()
     report = run_oracle_sweep(6, 1, 0)
     assert report["ok"] and report["cells"] == 90
-    assert len(built) < 3 * report["cells"]  # 1,421 while candidates were Residues
+    assert built == []  # 1,421 while candidates were Residues, under 3 per cell until b was an int
 
 
 def test_warm_sweeps_build_no_residue(built):

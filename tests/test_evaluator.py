@@ -18,7 +18,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zmdiff.cli import main
 from zmdiff.crt import combine
@@ -31,6 +31,7 @@ from zmdiff.solver import (
     nilpotent_solution,
     solve_initial_problem,
     split_problem,
+    structure,
 )
 
 WINDOW = 12
@@ -226,3 +227,49 @@ def test_far_value_steps_in_constant_memory():
     assert peak < 2**20
     nxt = sol.value(n + 1, 12345)
     assert (3 * nxt.value - 5 * x.value - spec.forcing.term(n).value) % m == 0
+
+
+@st.composite
+def periodic_windows(draw):
+    """A window of up to 200 values, starting inside, at or past the preperiod L <= 3 of
+    forcing with period p <= 5, on an explicit, nilpotent or mixed reduced problem with
+    ind' up to 32, multiplied through by d = 1..9: long enough, mostly, for the nilpotent
+    side to be cycled rather than stepped."""
+    kind = draw(st.sampled_from(["explicit", "nilpotent", "mixed"]))
+    k, q = draw(st.integers(1, 32)), draw(st.sampled_from([5, 7, 9, 25, 1000003]))
+    mp = {"explicit": q, "nilpotent": 2**k * 3 ** draw(st.integers(0, 3)), "mixed": 2**k * q}[kind]
+    units = st.integers(1, mp - 1).filter(lambda u: math.gcd(u, mp) == 1)
+    ap, bp = draw(units), (1 if kind == "explicit" else 6 if kind == "nilpotent" else 2)
+    bp = bp * draw(units) % mp
+    d, pre, p = draw(st.integers(1, 9)), draw(st.integers(0, 3)), draw(st.integers(1, 5))
+    fp = draw(st.lists(st.integers(0, mp - 1), min_size=pre + p, max_size=pre + p))
+    spec = ProblemSpec(d * mp, d * ap, d * bp, SequenceSpec.from_ints([d * v for v in fp],
+                                                                     d * mp, p))
+    start = draw(st.integers(0, pre + p + 2) | st.integers(0, 60))
+    length = draw(st.integers(1, 200))
+    x10 = draw(st.integers(0, structure(spec).shape.psplit.m1 - 1))
+    return spec, pre, p, start, length, x10
+
+
+@given(periodic_windows())
+@settings(max_examples=100)
+def test_cycled_window_matches_the_closed_forms(case):
+    # the head below the preperiod and the first and last period of the window against the
+    # closed forms, and every transition of the reduced equation across it
+    spec, pre, p, start, length, x10 = case
+    st_ = structure(spec)
+    values, error = st_.window(start, length, x10)
+    assert error is None and len(values) == length
+    reduced = reduce_by_gcd(spec)
+    sp = split_problem(ProblemSpec(reduced.m, reduced.a, reduced.b, reduced.forcing))
+    m1, m2, stop = sp.iso.split.m1, sp.iso.split.m2, start + length
+    picked = {n for n in range(start, stop) if n < pre + 2 * p} | set(range(stop - p, stop))
+    for n in sorted(picked & set(range(start, stop))):
+        x2 = nilpotent_solution(sp.a2, sp.b2, sp.f2, n).value if m2 > 1 else 0
+        assert values[n - start] % m2 == x2, f"index {n}"
+    for n in {start, stop - 1} if m1 > 1 else ():
+        x1 = explicit_solution(sp.a1, sp.b1, Residue(x10, m1), sp.f1, n)
+        assert values[n - start] % m1 == x1.value, f"index {n}"
+    f = reduced.forcing.values(start, stop - 1)
+    for j, fj in enumerate(f):
+        assert (reduced.b * values[j + 1] - reduced.a * values[j] - fj) % reduced.m == 0

@@ -64,20 +64,26 @@ class SequenceSpec:
         """f[lo..hi-1]; past an aperiodic support, InsufficientData at its first missing index."""
         if lo < 0:
             raise ValueError(f"forcing index must be non-negative, got {lo}")
-        terms, size, p = self.terms, len(self.terms), self.period
-        if hi <= lo:
-            return []
-        if hi <= size:
-            return list(terms[lo:hi])
-        k = max(lo, size)
-        if p is None:
-            raise InsufficientData(k)
-        # past the prefix, rotate its final period window once to the phase of k and cycle it
-        start = size - p
-        phase = start + (k - start) % p
-        out = list(terms[lo:size])
-        out.extend(islice(cycle(terms[phase:] + terms[start:phase]), hi - k))
-        return out
+        return read_terms(self.terms, self.period, lo, hi)
+
+
+def read_terms(terms: tuple[int, ...], period: int | None, lo: int, hi: int) -> list[int]:
+    """s[lo..hi-1] for lo >= 0, where s is terms continued, under a period p, by s[n+p] == s[n]
+    for n >= len(terms) - p; with no period, InsufficientData at the first index past terms."""
+    size = len(terms)
+    if hi <= lo:
+        return []
+    if hi <= size:
+        return list(terms[lo:hi])
+    k = max(lo, size)
+    if period is None:
+        raise InsufficientData(k)
+    # past the prefix, rotate its final period window once to the phase of k and cycle it
+    start = size - period
+    phase = start + (k - start) % period
+    out = list(terms[lo:size])
+    out.extend(islice(cycle(terms[phase:] + terms[start:phase]), hi - k))
+    return out
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .problem import (
     ProblemSpec,
     SequenceSpec,
     first_nondivisible_index,
+    read_terms,
 )
 
 
@@ -158,10 +159,10 @@ class GeneralSolution:
     (missing digits default to 0; each must lie in [0, d), and a digit pinned by an
     initial condition then overrides it); value(n, ...) and sequence(length, ...)
     return Residues, the only ones built here. All read Structure.window, started at
-    x10 plus the pinned start residue mod m1', and add alpha[n]*m' when d > 1.
-    Evaluating index n consumes forcing terms up through n + lookahead; a window costs one
-    step per value plus lookahead (a long periodic one, on its nilpotent side, one per stored
-    term plus lookahead), and value(n) steps n times in O(lookahead) memory.
+    x10 plus the pinned start residue mod m1', and add alpha[n]*m' for the indices that
+    alpha gives or an initial condition fixes. Evaluating index n consumes forcing terms up
+    through n + lookahead. A window costs one step per value, and value(n) steps n times in
+    memory that does not grow with n; the nilpotent side they read is derived once per problem.
     """
 
     kind: str  # "explicit" | "nilpotent" | "mixed" | "lifted"
@@ -192,7 +193,7 @@ class GeneralSolution:
         sh = self._structure.shape
         if sh.d > 1 or any(alpha[start : start + len(xs)]):
             fixed = dict(self.fixed_digits)
-            for n in range(start, start + len(xs)):
+            for n in range(start, min(start + len(xs), max(len(alpha), len(self.fixed_digits)))):
                 digit = alpha[n] if n < len(alpha) else 0
                 if not 0 <= digit < sh.d:
                     raise InvalidLiftDigit(f"lift digit {digit} at index {n} not in [0, {sh.d})")
@@ -258,20 +259,15 @@ class Structure:
         """x'[start..start+length-1] mod m' of the equation divided by d, started at x10 mod m1'.
 
         Needs length >= 1 and no witness (its callers check). The m1' side steps
-        x[k+1] = b'^-1 (a' x[k] + f'[k]) forward from x10, in constant memory
-        before start. The m2' side steps x[k] = a'^-1 (b' x[k+1] - f'[k]) back
-        from 0 at ind' past the last index: (a'^-1 b')^ind' = 0 mod m2' drops
-        that 0. An m2' value sums f'[k..k+ind'-1] alone, so under a period p that
-        side repeats from len(f) - p on: a long window steps it back from len(f)
-        + ind' - 1 instead and cycles the last p values. The CRT units join the
-        sides; when one has modulus 1, it is not stepped and the other comes back
-        alone. f'[k] = f[k] / d (f itself at d == 1). On an aperiodic support the
-        values stop before the first index that reads past it, and that index's
-        error comes back with them: InsufficientData from the m1' side or when
-        m' == 1, otherwise InsufficientLookahead.
+        x[k+1] = b'^-1 (a' x[k] + f'[k]) forward from x10, in constant memory before
+        start, and the CRT units join it to nilpotent_side, read with the forcing's
+        period; a side with modulus 1 is neither stepped nor read. f'[k] = f[k] / d
+        (f itself at d == 1). On an aperiodic support the values stop before the first
+        index that reads past it, and that index's error comes back with them:
+        InsufficientData from the m1' side or when m' == 1, otherwise InsufficientLookahead.
         """
         sh = self.shape
-        a, b, binv, ainv, u1, u2 = sh.kernel
+        a, _, binv, _, u1, u2 = sh.kernel
         m1, m2, mp, ind = sh.psplit.m1, sh.psplit.m2, sh.psplit.m, sh.truncation
         forcing, d = self.spec.forcing, sh.d
         size, p = len(forcing.terms), forcing.period
@@ -282,41 +278,46 @@ class Structure:
                 stop = max(size + 1 - ind, start)
                 error = (InsufficientData(size) if stop > size and (m1 > 1 or mp == 1)
                          else InsufficientLookahead(stop, ind))
-        n = stop - start
-        if n == 0:
+        if stop == start:
             return [], error
-        # cycling the m2' side saves n - len(f) back steps; it is taken when they outnumber
-        # the len(f) + ind' - 1 steps it still takes and the p values it rotates
-        cyc = m2 > 1 and p is not None and n - size > size + ind - 1 + p
-        f = forcing.values(0, size + ind - 1) if cyc else forcing.values(start, stop + ind - 1)
+        if m2 > 1:
+            out = read_terms(self.nilpotent_side, p, start, stop)
+            if m1 == 1:  # x' is the m2' side alone
+                return out, error
+        f = forcing.values(start, stop - 1)
         if d > 1:
             f = [v // d for v in f]
         # step the m1' side to start, 4096 terms at a time; a trivial m1' side is 0 throughout
         head = (fk for lo in range(0, start if m1 > 1 else 0, 4096)
                 for fk in forcing.values(lo, min(lo + 4096, start)))
         x1 = reduce(lambda x, fk: binv * (a * x + fk // d) % m1, head, x10 % m1)
-        if m2 == 1:  # x' is the m1' side alone; ind' == 0, so f holds just the n - 1 steps
+        if m2 == 1:  # x' is the m1' side alone
             out = [x1]
             for fk in f:
                 x1 = binv * (a * x1 + fk) % m1
                 out.append(x1)
             return out, error
-        out, x2 = [0] * (len(f) + 1), 0
-        for j in range(len(f) - 1, -1, -1):
-            x2 = out[j] = ainv * (b * x2 - f[j]) % m2
-        del out[size if cyc else n:]
-        if cyc:  # x2[0..len(f)-1], continued with the period of f
-            out = SequenceSpec(tuple(out), m2, p).values(start, stop)
-        if m1 == 1:  # x' is the m2' side alone
-            return out, error
-        if cyc:  # the m1' side steps over the window's own f'
-            f = forcing.values(start, stop - 1)
-            f = [v // d for v in f] if d > 1 else f
         out[0] = (u1 * x1 + u2 * out[0]) % mp
-        for j, fk in enumerate(f[: n - 1], 1):
+        for j, fk in enumerate(f, 1):
             x1 = binv * (a * x1 + fk) % m1
             out[j] = (u1 * x1 + u2 * out[j]) % mp
         return out, error
+
+    @cached_property
+    def nilpotent_side(self) -> tuple[int, ...]:
+        """x2'[0..] mod m2', the one sequence the nilpotent side admits: len(f) values under a
+        period p, from len(f) - p on repeating with p as f' does (x2'[k] sums f'[k..k+ind'-1]
+        alone), and without one the len(f) + 1 - ind' that the support decides. It steps
+        x[k] = a'^-1 (b' x[k+1] - f'[k]) back from 0 at ind' past the last value kept:
+        (a'^-1 b')^ind' = 0 mod m2' drops that 0. Needs m2' > 1 and no witness."""
+        sh, forcing = self.shape, self.spec.forcing
+        _, b, _, ainv, _, _ = sh.kernel
+        m2, ind, size = sh.psplit.m2, sh.truncation, len(forcing.terms)
+        f = forcing.values(0, size + ind - 1) if forcing.period else forcing.terms
+        out, x2 = [0] * len(f), 0
+        for j in range(len(f) - 1, -1, -1):
+            x2 = out[j] = ainv * (b * x2 - f[j] // sh.d) % m2
+        return tuple(out[: size if forcing.period else max(size + 1 - ind, 0)])
 
     @cached_property
     def compatibility(self) -> int | None:
@@ -327,10 +328,9 @@ class Structure:
         """
         if self.witness is not None or self.shape.psplit.m2 == 1:
             return None
-        values, error = self.window(0, 1, 0)
-        if error is not None:
-            raise error
-        return values[0] % self.shape.psplit.m2
+        if self.nilpotent_side:
+            return self.nilpotent_side[0]
+        raise InsufficientLookahead(0, self.shape.truncation)
 
     def classify(self) -> Classification:
         if self.witness is not None:

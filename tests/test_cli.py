@@ -285,6 +285,25 @@ def test_horizon_must_cover_the_lookahead(capsys, doc_path, command):
         assert (report["lookahead"], report["values"]) == (3, [15])
 
 
+@pytest.mark.parametrize(
+    "doc, err",
+    [
+        ({"m": 2**32, "a": 1, "b": 2, "f": [1], "f_period": 1}, ""),
+        ({"m": 2**32 + 1, "a": 1, "b": 2, "f": [1], "f_period": 1},
+         "error: field 'm': modulus must be <= 4294967296, got 4294967297\n"),
+        ({"m": 6, "a": 2, "b": 3, "f": [2**63 - 1, 1 - 2**63]}, ""),
+        ({"m": 6, "a": 2, "b": 3, "f": [2**63]},
+         "error: field 'f': magnitude of 9223372036854775808 exceeds the supported range\n"),
+    ],
+    ids=["m-at-cap", "m-past-cap", "f-at-cap", "f-past-cap"],
+)
+def test_document_bounds_hold_at_their_edges(capsys, doc_path, doc, err):
+    code = main(["classify", "--input", doc_path(doc)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2 if err else 0, err)
+    assert bool(captured.out) != bool(err)
+
+
 class TestOracleCheckCommand:
     def test_agreement(self, capsys, doc_path):
         assert main(["oracle-check", "--input", doc_path(EX1), "--oracle-n", "5"]) == 0

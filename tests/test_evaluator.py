@@ -1,12 +1,15 @@
 """The integer evaluator behind every solution, against the Residue closed forms.
 
 Structure.window evaluates a whole window on ints: it steps the invertible
-side forward once, and the nilpotent side back from 0 placed ind' indices
-past the window's last index, a start that (a'^-1 b')^ind' = 0 wipes out. These
-tests hold it to verify_solution, to the per-index value() loop and the int
-evaluator values() (values and errors alike) and to the reference closed
-forms (explicit_solution, nilpotent_solution, combine) on the gcd-reduced
-problem, including at and past the documented bounds and at long horizons.
+side forward once, and reads the nilpotent side off Structure.nilpotent_side,
+which each problem derives once by stepping back over its stored terms from 0
+placed ind' indices past them (a start that (a'^-1 b')^ind' = 0 wipes out),
+and which the window continues with the forcing's period. These tests hold it
+to verify_solution, to the per-index value() loop and the int evaluator
+values() (values and errors alike) and to the reference closed forms
+(explicit_solution, nilpotent_solution, combine) on the gcd-reduced problem,
+including at and past the documented bounds, at long horizons and at starts
+far past the stored terms.
 """
 
 import contextlib
@@ -32,6 +35,7 @@ from zmdiff.solver import (
     solve_initial_problem,
     split_problem,
     structure,
+    Structure,
 )
 
 WINDOW = 12
@@ -233,8 +237,9 @@ def test_far_value_steps_in_constant_memory():
 def periodic_windows(draw):
     """A window of up to 200 values, starting inside, at or past the preperiod L <= 3 of
     forcing with period p <= 5, on an explicit, nilpotent or mixed reduced problem with
-    ind' up to 32, multiplied through by d = 1..9: long enough, mostly, for the nilpotent
-    side to be cycled rather than stepped."""
+    ind' up to 32, multiplied through by d = 1..9. A nilpotent kind, where m1' = 1 and
+    nothing steps forward, may start as far as 10^6: its window is read from the stored
+    terms' nilpotent side with the forcing's period, far past them."""
     kind = draw(st.sampled_from(["explicit", "nilpotent", "mixed"]))
     k, q = draw(st.integers(1, 32)), draw(st.sampled_from([5, 7, 9, 25, 1000003]))
     mp = {"explicit": q, "nilpotent": 2**k * 3 ** draw(st.integers(0, 3)), "mixed": 2**k * q}[kind]
@@ -245,7 +250,8 @@ def periodic_windows(draw):
     fp = draw(st.lists(st.integers(0, mp - 1), min_size=pre + p, max_size=pre + p))
     spec = ProblemSpec(d * mp, d * ap, d * bp, SequenceSpec.from_ints([d * v for v in fp],
                                                                      d * mp, p))
-    start = draw(st.integers(0, pre + p + 2) | st.integers(0, 60))
+    far = 10**6 if kind == "nilpotent" else 60
+    start = draw(st.integers(0, pre + p + 2) | st.integers(0, far))
     length = draw(st.integers(1, 200))
     x10 = draw(st.integers(0, structure(spec).shape.psplit.m1 - 1))
     return spec, pre, p, start, length, x10
@@ -273,3 +279,22 @@ def test_cycled_window_matches_the_closed_forms(case):
     f = reduced.forcing.values(start, stop - 1)
     for j, fj in enumerate(f):
         assert (reduced.b * values[j + 1] - reduced.a * values[j] - fj) % reduced.m == 0
+
+
+def test_one_structure_derives_its_nilpotent_side_once(monkeypatch):
+    derived, derive = [], Structure.nilpotent_side.func
+
+    def counted(st_):
+        derived.append(st_)
+        return derive(st_)
+
+    monkeypatch.setattr(Structure.nilpotent_side, "func", counted)
+    # mixed, m1' = 5 beside m2' = 96 with ind' = 5
+    spec = ProblemSpec(480, 7, 6, SequenceSpec.from_ints([1, 8, 2, 30], 480, period=3))
+    st_ = structure(spec)
+    required = st_.compatibility
+    free = st_.solution().values(40, 1)
+    pinned = st_.solution(free[0]).values(40)
+    assert len(derived) == 1
+    assert required == free[0] % 96 and pinned == free
+    assert verify_solution(spec, pinned, free[0]) == (True, None)

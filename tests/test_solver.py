@@ -278,6 +278,18 @@ class TestGeneralSolution:
         with pytest.raises(InsufficientLookahead):
             sol.value(2)
 
+    @pytest.mark.parametrize("f, required", [([1], None), ([1, 3], None), ([1, 3, 5], None),
+                                             ([1, 3, 5, 7], 13)])
+    def test_start_condition_waits_for_the_whole_lookahead(self, f, required):
+        # ind' = 4 over m2' = 16: x[0] = -(f[0] + 2 f[1] + 4 f[2] + 8 f[3]) = -83 = 13 (mod 16)
+        st_ = structure(spec_of(16, 1, 2, f))
+        if required is not None:
+            assert st_.compatibility == required
+            return
+        needs = r"^value at index 0 needs forcing terms 0\.\.3,"
+        with pytest.raises(InsufficientLookahead, match=needs):
+            st_.compatibility
+
 
 class TestSolveInitialProblem:
     def test_unique_solution_matches_closed_form(self):

@@ -27,7 +27,7 @@ import math
 import os
 import random
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import islice, product
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -94,7 +94,8 @@ def parse_document(data: Any) -> tuple[ProblemSpec, int | None, int]:
     raw_f = data["f"]
     if not isinstance(raw_f, list) or not raw_f:
         raise DocumentError("f", "expected a non-empty list of integers")
-    f = tuple(_require_int("f", v) for v in raw_f)
+    bulk = set(map(type, raw_f)) == {int} and -MAX_INT < min(raw_f) and max(raw_f) < MAX_INT
+    f = tuple(raw_f if bulk else (_require_int("f", v) for v in raw_f))  # names a bad term
     f_period = None
     if data.get("f_period") is not None:
         f_period = _require_int("f_period", data["f_period"])
@@ -115,12 +116,11 @@ class _Fields(dict):
     """A decoded JSON object, and the first field name it repeats (the last value wins)."""
 
     def __init__(self, pairs: list[tuple[str, Any]]):
-        super().__init__()
+        super().__init__(pairs)
         self.repeated: str | None = None
-        for key, value in pairs:
-            if key in self and self.repeated is None:
-                self.repeated = key
-            self[key] = value
+        if len(self) != len(pairs):
+            seen: set[str] = set()
+            self.repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
 
 
 def _load(args: argparse.Namespace) -> tuple[ProblemSpec, int | None, int]:
@@ -203,23 +203,30 @@ def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
 
 
 def _json(obj: Any, pad: str = "\n") -> str:
-    """json.dumps(obj, indent=2), byte for byte, for dicts with str keys; a list of exact
-    ints is joined in one call, where the stdlib's indenting encoder steps item by item."""
+    """json.dumps(obj, indent=2), byte for byte, for dicts with str keys; a list of scalars goes
+    through the stdlib's C encoder in one call, where its indenting encoder steps item by item."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if type(obj) is int:
         return int.__repr__(obj)
     if not obj or not isinstance(obj, (dict, list, tuple)):
-        return json.dumps(obj)  # None, bools, floats and empty containers
+        return "[]" if obj in ([], ()) else json.dumps(obj)  # None, bools, floats and {}
     inner = pad + "  "
     if isinstance(obj, dict):
         items = (f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in obj.items())
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if set(map(type, obj)) == {int}:
-        items = map(int.__repr__, obj)
-    else:
-        items = (_json(v, inner) for v in obj)
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if not isinstance(obj[0], (dict, list, tuple)):
+        flat = _flat_encoder(inner)(obj)
+        # a bracket past the first is a container further on, or one inside a string
+        if flat.find("[", 1) < 0 and flat.find("{", 1) < 0:
+            return "[" + inner + flat[1:-1] + pad + "]"
+    return "[" + inner + ("," + inner).join(_json(v, inner) for v in obj) + pad + "]"
+
+
+@functools.lru_cache(maxsize=16)
+def _flat_encoder(inner: str) -> Callable[[Any], str]:
+    """The C encoder, writing the items of a list of scalars as indent=2 does at this depth."""
+    return json.JSONEncoder(separators=("," + inner, ": ")).encode
 
 
 def _kv(label: str, value: Any) -> str:
@@ -742,18 +749,70 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """build_parser().parse_args(argv): the same namespace, messages and exits, but an argv
-    that names a command skips the top-level pass that only picks it. None reads sys.argv[1:]."""
+    """build_parser().parse_args(argv), but a well-formed command line is read off its
+    command's declarations (_read_args); help and every error still come from argparse."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    if not argv or argv[0] not in commands:
-        return parser.parse_args(argv)
-    args, extra = commands[argv[0]].parse_known_args(argv[1:])
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    args.command = argv[0]
-    return args
+    if argv and argv[0] in commands and (args := _read_args(commands[argv[0]], argv[1:])):
+        args.command = argv[0]
+        return args
+    return parser.parse_args(argv)
+
+
+@functools.cache
+def _declarations(sub: argparse.ArgumentParser) -> tuple[dict, dict, argparse.Action | None] | None:
+    """A command parser's (option string -> action, defaults, positional), or None if it
+    declares anything but single-valued optional options and one nargs="+" positional."""
+    actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+    positionals = [a for a in actions if not a.option_strings]
+    if (sub.prefix_chars != "-" or sub.fromfile_prefix_chars or sub._mutually_exclusive_groups
+            or sub._has_negative_number_optionals or len(positionals) > 1
+            or any(type(a) is not argparse._StoreAction
+                   or (a.nargs, a.required) != ((None, False) if a.option_strings else ("+", True))
+                   or isinstance(a.default, str) and a.type is not None for a in actions)):
+        return None
+    options = {s: a for a in actions for s in a.option_strings}
+    defaults = {a.dest: a.default for a in actions if argparse.SUPPRESS not in (a.dest, a.default)}
+    return options, {**sub._defaults, **defaults}, next(iter(positionals), None)
+
+
+def _read_args(sub: argparse.ArgumentParser, words: list[str]) -> argparse.Namespace | None:
+    """sub.parse_args(words) when words are declared option strings, each with one value, and
+    one unbroken run of positional words, every value passing its type and choices; else None."""
+    if (declared := _declarations(sub)) is None:
+        return None
+    options, defaults, positional = declared
+    values, run, closed = dict(defaults), [], False
+    numeric = sub._negative_number_matcher.match  # "-5" is a value; "-x" an unknown option
+    words = iter(words)
+    try:
+        for word in words:
+            if word in options:
+                value = next(words, "-")  # a missing value reads as one argparse refuses
+                if value[:1] == "-" and not numeric(value):
+                    return None
+                values[options[word].dest] = _value(sub, options[word], value)
+                closed = bool(run)
+            elif positional is None or closed or word[:1] == "-" and not numeric(word):
+                return None
+            else:
+                run.append(_value(sub, positional, word))
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    if positional is not None:
+        if not run:
+            return None
+        values[positional.dest] = run
+    return argparse.Namespace(**values)
+
+
+def _value(sub: argparse.ArgumentParser, action: argparse.Action, word: str) -> Any:
+    """word through the action's type; ValueError unless the result is one of its choices."""
+    value = sub._registry_get("type", action.type, action.type)(word)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(word)
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -326,11 +326,12 @@ class Structure:
 
         Raises InsufficientLookahead when the forcing support is too short to decide it.
         """
-        if self.witness is not None or self.shape.psplit.m2 == 1:
+        sh, forcing = self.shape, self.spec.forcing
+        if self.witness is not None or sh.psplit.m2 == 1:
             return None
-        if self.nilpotent_side:
-            return self.nilpotent_side[0]
-        raise InsufficientLookahead(0, self.shape.truncation)
+        if forcing.period is None and len(forcing.terms) < sh.truncation:  # no value decided
+            raise InsufficientLookahead(0, sh.truncation)
+        return self.nilpotent_side[0]
 
     def classify(self) -> Classification:
         if self.witness is not None:

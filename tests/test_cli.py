@@ -1,5 +1,4 @@
 import argparse
-import contextlib
 import io
 import json
 import os
@@ -10,13 +9,15 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from zmdiff.cli import (
     DocumentError,
+    _declarations,
     _json,
     _parse_args,
     build_parser,
+    cmd_solve,
     main,
     parse_document,
     run_uniqueness_sweep,
@@ -26,6 +27,7 @@ from zmdiff.modring import Residue
 from zmdiff.problem import SequenceSpec
 from zmdiff.solver import Structure, shape
 
+from argv_fuzz import command_line, main as fuzz, parsed
 from test_golden import BIG_IND32
 
 EX1 = {"m": 6, "a": 2, "b": 3, "f": [1, 2, 0, 1], "f_period": 4}
@@ -84,6 +86,21 @@ class TestParseDocument:
         with pytest.raises(DocumentError) as err:
             parse_document(data)
         assert err.value.fieldname == field
+
+    @pytest.mark.parametrize("f, message", [
+        ([1, True, 2**63], "expected an integer, got True"),
+        ([1, True], "expected an integer, got True"),
+        ([1, -(2**63), "x"], f"magnitude of {-(2**63)} exceeds the supported range"),
+        ([5, -(2**63)], f"magnitude of {-(2**63)} exceeds the supported range"),
+        ([2**63, 5], f"magnitude of {2**63} exceeds the supported range"),
+    ])
+    def test_the_first_bad_forcing_term_is_named(self, f, message):
+        with pytest.raises(DocumentError, match=re.escape(message)):
+            parse_document({"m": 6, "a": 2, "b": 3, "f": f})
+
+    def test_forcing_terms_at_the_ends_of_the_range_are_kept(self):
+        spec, _, _ = parse_document({"m": 2**32, "a": 1, "b": 1, "f": [2**63 - 1, 1 - 2**63]})
+        assert spec.forcing.terms == ((2**63 - 1) % 2**32, (1 - 2**63) % 2**32)
 
     def test_not_an_object(self):
         with pytest.raises(DocumentError):
@@ -440,41 +457,79 @@ def test_readme_synopsis_lists_each_commands_flags():
 COMMANDS = ("classify", "solve", "enumerate", "verify", "oracle-check", "sweep")
 FLAGS = ("--format", "--input", "--y0", "--horizon", "--x10", "--alpha", "--max", "--budget",
          "--oracle-n", "--m-max", "--trials", "--seed", "-h", "--help", "--",
-         "--format=json", "--hor", "--for", "--h", "--m", "-x")
-VALUES = ("json", "text", "xml", "3", "-1", "0", "1,2", "1,,2", "abc", "1.5", "", "problem.json")
+         "--format=json", "--input=x", "--hor", "--for", "--h", "--m", "-x")
+VALUES = ("json", "text", "xml", "3", "-1", "0", "1,2", "1,,2", "abc", "1.5", "", "problem.json",
+          "-1 2", " 4", "+5", "-0", "١٢", "12345678901234567890")
 JUNK = ("solv", "help", "-", "---", "--nope", "junk", "--y0=4")
+ARGVS = st.one_of(
+    st.builds(lambda first, rest: [first, *rest],
+              st.one_of(st.sampled_from(COMMANDS), st.sampled_from(FLAGS + VALUES + JUNK)),
+              st.lists(st.sampled_from(COMMANDS + FLAGS + VALUES + JUNK), max_size=7)),
+    st.randoms(use_true_random=False).map(command_line),  # well-formed, or one word off
+)
 
 
-def _parsed(parse, argv):
-    """(vars of the namespace or the SystemExit code, stdout, stderr) of parse(argv)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            result = vars(parse(argv))
-        except SystemExit as exc:
-            result = ("exit", exc.code)
-    return result, out.getvalue(), err.getvalue()
-
-
-@given(st.one_of(st.sampled_from(COMMANDS), st.sampled_from(FLAGS + VALUES + JUNK)),
-       st.lists(st.sampled_from(COMMANDS + FLAGS + VALUES + JUNK), max_size=7), st.booleans())
-def test_dispatch_parses_as_the_top_level_parser_does(first, rest, from_sys_argv):
-    # straight to the command's parser, or through the top-level one: the same namespace,
-    # or the same exit code and bytes of help and usage error
-    argv = [first, *rest]
+@example(["verify", "1", "--y0", "3", "2"], False)
+@example(["verify", "--y0", "3", "-5", "7", "--format", "json"], False)
+@example(["verify", "--y0", "3"], False)
+@example(["classify", "5"], False)
+@example(["verify", "1", "-5_0"], False)  # int takes it, argparse reads an unknown flag
+@example(["solve", "--input", "-x"], False)
+@example(["solve", "--input", "-3", "--y0", "-0"], False)
+@example(["solve", "--input", "-1 2"], False)
+@example(["solve", "--format", "xml"], False)
+@example(["solve", "--horizon"], False)
+@example(["solve", "--alpha", "", "--x10", "١٢"], False)
+@example(["solve", "--alpha", "1,,2"], False)
+@given(ARGVS, st.booleans())
+def test_dispatch_parses_as_the_top_level_parser_does(argv, from_sys_argv):
+    # read off the command's declarations, or by argparse: the same namespace, or the same
+    # exit code and bytes of help and usage error
     if from_sys_argv:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sys, "argv", ["zmdiff", *argv])
-            assert _parsed(_parse_args, None) == _parsed(build_parser().parse_args, None)
+            assert parsed(_parse_args, None) == parsed(build_parser().parse_args, None)
     else:
-        assert _parsed(_parse_args, argv) == _parsed(build_parser().parse_args, argv)
+        assert parsed(_parse_args, argv) == parsed(build_parser().parse_args, argv)
 
 
 @pytest.mark.parametrize("argv", [[], ["-h"], ["--"], ["bogus"], ["solve", "--horizon", "3", "x"],
                                   ["verify", "1", "2", "--nope"], ["sweep", "-h"]])
 def test_dispatch_keeps_the_usage_messages(argv):
-    assert _parsed(_parse_args, argv) == _parsed(build_parser().parse_args, argv)
-    assert _parsed(_parse_args, argv)[0][0] == "exit"
+    assert parsed(_parse_args, argv) == parsed(build_parser().parse_args, argv)
+    assert parsed(_parse_args, argv)[0][0] == "exit"
+
+
+def test_the_stdlib_only_fuzz_finds_no_difference(capsys):
+    assert fuzz(2000, 1) == 0
+    assert " 0 differences " in capsys.readouterr().out
+
+
+def test_a_long_window_command_line_never_reaches_argparse(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a well-formed command line")
+
+    for name in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(argparse.ArgumentParser, name, refuse)
+    args = _parse_args(["solve", "--format", "json", "--horizon", "360", "--y0", "5"])
+    assert vars(args) == {"command": "solve", "handler": cmd_solve, "format": "json",
+                          "input": None, "y0": 5, "horizon": 360, "x10": 0, "alpha": ()}
+
+
+@pytest.mark.parametrize("declare", [
+    lambda p: p.add_argument("--on", action="store_true"),
+    lambda p: p.add_argument("--pair", nargs=2),
+    lambda p: p.add_argument("--must", required=True),
+    lambda p: p.add_argument("--n", type=int, default="5"),
+    lambda p: p.add_argument("-1", dest="minus_one"),
+    lambda p: p.add_argument("one"),
+    lambda p: p.add_mutually_exclusive_group().add_argument("--either"),
+], ids=["store_true", "nargs=2", "required", "str default", "negative-number flag",
+        "nargs=None positional", "exclusive group"])
+def test_a_declaration_the_table_cannot_follow_leaves_the_command_to_argparse(declare):
+    parser = argparse.ArgumentParser()
+    declare(parser)
+    assert _declarations(parser) is None
 
 
 class TestMainPlumbing:
@@ -515,6 +570,11 @@ class TestMainPlumbing:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: field 'm': duplicate field\n")
 
+    def test_the_first_field_seen_twice_is_named(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"m":6,"b":3,"a":2,"b":4,"m":7,"f":[1]}'))
+        assert main(["classify"]) == 2
+        assert capsys.readouterr().err == "error: field 'b': duplicate field\n"
+
     def test_duplicate_inside_a_value_fails_on_the_field_that_holds_it(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"m":6,"a":2,"b":3,"f":[{"x":1,"x":2}]}'))
         assert main(["classify"]) == 2
@@ -554,18 +614,22 @@ class TestMainPlumbing:
 
 
 INTS = st.integers(-(2**64), 2**64)
-STRINGS = st.text(st.sampled_from('a "\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'))
+STRINGS = st.text(st.sampled_from('a "\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600[]{},'))
+SCALARS = (st.none() | st.booleans() | INTS | st.floats(allow_nan=False, allow_infinity=False)
+           | STRINGS)
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | INTS | st.floats(allow_nan=False, allow_infinity=False) | STRINGS,
+    SCALARS,
     lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
-                   | st.dictionaries(STRINGS, inner) | st.lists(INTS | st.booleans())),
+                   | st.dictionaries(STRINGS, inner) | st.lists(INTS | st.booleans())
+                   | st.builds(lambda head, tail: [head, *tail], SCALARS, st.lists(inner))),
     max_leaves=16,
 )
 
 
 @given(JSON_VALUES)
 def test_json_emitter_writes_the_bytes_of_indented_dumps(value):
-    # bools mixed into int lists must not take the joined-int path: True is not 1
+    # a list of scalars goes through the C encoder in one call; brackets in its output past
+    # the first, from a string or from a container after a scalar head, send it item by item
     assert _json(value) == json.dumps(value, indent=2)
 
 

@@ -289,6 +289,7 @@ class TestGeneralSolution:
         needs = r"^value at index 0 needs forcing terms 0\.\.3,"
         with pytest.raises(InsufficientLookahead, match=needs):
             st_.compatibility
+        assert "nilpotent_side" not in vars(st_)  # a support shorter than ind' decides nothing
 
 
 class TestSolveInitialProblem:

@@ -94,8 +94,7 @@ def parse_document(data: Any) -> tuple[ProblemSpec, int | None, int]:
     raw_f = data["f"]
     if not isinstance(raw_f, list) or not raw_f:
         raise DocumentError("f", "expected a non-empty list of integers")
-    bulk = set(map(type, raw_f)) == {int} and -MAX_INT < min(raw_f) and max(raw_f) < MAX_INT
-    f = tuple(raw_f if bulk else (_require_int("f", v) for v in raw_f))  # names a bad term
+    f = tuple(_require_int("f", v) for v in raw_f)
     f_period = None
     if data.get("f_period") is not None:
         f_period = _require_int("f_period", data["f_period"])
@@ -116,11 +115,12 @@ class _Fields(dict):
     """A decoded JSON object, and the first field name it repeats (the last value wins)."""
 
     def __init__(self, pairs: list[tuple[str, Any]]):
-        super().__init__(pairs)
+        super().__init__()
         self.repeated: str | None = None
-        if len(self) != len(pairs):
-            seen: set[str] = set()
-            self.repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+        for key, value in pairs:
+            if key in self and self.repeated is None:
+                self.repeated = key
+            self[key] = value
 
 
 def _load(args: argparse.Namespace) -> tuple[ProblemSpec, int | None, int]:

@@ -49,7 +49,7 @@ class SequenceSpec:
             raise ValueError("a forcing sequence needs at least one term")
         if not isinstance(self.modulus, int) or self.modulus < 1:
             raise InvalidModulus(f"modulus must be a positive integer, got {self.modulus!r}")
-        object.__setattr__(self, "terms", tuple(map(self.modulus.__rmod__, self.terms)))
+        object.__setattr__(self, "terms", tuple(t % self.modulus for t in self.terms))
         if self.period is not None and not 1 <= self.period <= len(self.terms):
             raise ValueError(f"period must lie in [1, {len(self.terms)}], got {self.period}")
 

@@ -30,7 +30,6 @@ import sys
 from collections.abc import Callable, Iterator
 from itertools import islice, product
 from json.encoder import encode_basestring_ascii
-from typing import Any
 
 from .oracle import DEFAULT_BUDGET, BudgetExceeded, count_prefixes, verify_solution
 from .problem import InsufficientData, ProblemSpec, SequenceSpec
@@ -65,7 +64,7 @@ class DocumentError(ValueError):
         self.fieldname = fieldname
 
 
-def _require_int(name: str, value: Any) -> int:
+def _require_int(name: str, value: object) -> int:
     # bool is an int subclass; a true/false here is always a typo
     if not isinstance(value, int) or isinstance(value, bool):
         raise DocumentError(name, f"expected an integer, got {value!r}")
@@ -74,7 +73,7 @@ def _require_int(name: str, value: Any) -> int:
     return value
 
 
-def parse_document(data: Any) -> tuple[ProblemSpec, int | None, int]:
+def parse_document(data: object) -> tuple[ProblemSpec, int | None, int]:
     """(problem, y0 mod m, horizon) from a decoded JSON object; strict on fields and types."""
     if not isinstance(data, dict):
         raise DocumentError("<document>", "expected a JSON object")
@@ -114,7 +113,7 @@ def parse_document(data: Any) -> tuple[ProblemSpec, int | None, int]:
 class _Fields(dict):
     """A decoded JSON object, and the first field name it repeats (the last value wins)."""
 
-    def __init__(self, pairs: list[tuple[str, Any]]):
+    def __init__(self, pairs: list[tuple[str, object]]):
         super().__init__()
         self.repeated: str | None = None
         for key, value in pairs:
@@ -177,7 +176,7 @@ def _compatibility(st: Structure) -> tuple[dict | None, list[str]]:
 
 def _initial(st: Structure, y0: int) -> tuple[dict, list[str]]:
     """The verdict on the start x[0] = y0: json and text lines."""
-    out: dict[str, Any] = {"y0": y0}
+    out: dict[str, object] = {"y0": y0}
     try:
         icls = st.classify_initial(y0)
     except InsufficientLookahead as exc:
@@ -202,7 +201,7 @@ def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
         print("\n".join(text_lines))
 
 
-def _json(obj: Any, pad: str = "\n") -> str:
+def _json(obj: object, pad: str = "\n") -> str:
     """json.dumps(obj, indent=2), byte for byte, for dicts with str keys; a list of scalars goes
     through the stdlib's C encoder in one call, where its indenting encoder steps item by item."""
     if isinstance(obj, str):
@@ -224,12 +223,12 @@ def _json(obj: Any, pad: str = "\n") -> str:
 
 
 @functools.lru_cache(maxsize=16)
-def _flat_encoder(inner: str) -> Callable[[Any], str]:
+def _flat_encoder(inner: str) -> Callable[[object], str]:
     """The C encoder, writing the items of a list of scalars as indent=2 does at this depth."""
     return json.JSONEncoder(separators=("," + inner, ": ")).encode
 
 
-def _kv(label: str, value: Any) -> str:
+def _kv(label: str, value: object) -> str:
     return f"{label:<22}{value}"
 
 
@@ -536,7 +535,7 @@ def run_oracle_sweep(m_max: int, trials: int, seed: int) -> dict:
 
 
 def _audit_cell(spec: ProblemSpec, rng: random.Random, row: dict, out: list[dict]) -> None:
-    def flag(kind: str, **detail: Any) -> None:
+    def flag(kind: str, **detail: object) -> None:
         f = list(spec.forcing.terms)
         out.append({"kind": kind, "m": spec.m, "a": spec.a, "b": spec.b, "f": f, **detail})
 
@@ -701,6 +700,38 @@ def _csv_ints(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+# Each command's handler, summary, and arguments in help order, each as (flag or positional
+# name, type, default, help, choices). Every flag takes one value; the one positional,
+# verify's candidate, takes nargs="+".
+FORMAT = ("--format", str, "text", None, ("text", "json"))
+INPUT = ("--input", str, None, "problem document path (default: stdin)", None)
+Y0 = ("--y0", int, None, "pin the start value (overrides the document)", None)
+HORIZON = ("--horizon", int, None, "report indices 0..horizon-lookahead", None)
+COMMANDS = {
+    "classify": (cmd_classify, "solution-set verdict and structure data", (INPUT, Y0, FORMAT)),
+    "solve": (cmd_solve, "evaluate one solution over the horizon", (
+        INPUT, Y0, HORIZON, FORMAT,
+        ("--x10", int, 0, "free start parameter (default 0)", None),
+        ("--alpha", _csv_ints, (), "lift digits per index, comma-separated", None))),
+    "enumerate": (cmd_enumerate, "list distinct solutions over the horizon", (
+        INPUT, Y0, HORIZON, FORMAT,
+        ("--max", int, 16, "row cap (default 16)", None))),
+    "verify": (cmd_verify, "check a candidate sequence against every transition", (
+        INPUT, Y0, FORMAT,
+        ("candidate", int, None, "candidate values x[0] x[1] ...", None))),
+    "oracle-check": (cmd_oracle_check, "compare counts against brute force", (
+        INPUT, FORMAT,
+        ("--budget", int, DEFAULT_BUDGET, "oracle states: prefix length times sum of m's "
+         "prime powers (default %(default)s)", None),
+        ("--oracle-n", int, 5, "prefix length (default 5)", None))),
+    "sweep": (cmd_sweep, "oracle-agreement and equivalence sweeps", (
+        FORMAT,
+        ("--m-max", int, 12, "largest modulus (default 12)", None),
+        ("--trials", int, 5, "forcing sequences per cell (default 5)", None),
+        ("--seed", int, 42, "RNG seed (default 42)", None))),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -708,109 +739,70 @@ def build_parser() -> argparse.ArgumentParser:
         description="classify, solve, and brute-force-check b*x[n+1] = a*x[n] + f[n] (mod m)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def option(*flags: str, **kwargs: Any) -> argparse.ArgumentParser:
-        """A parent parser declaring one option, shared by every command that takes it."""
-        holder = argparse.ArgumentParser(add_help=False)
-        holder.add_argument(*flags, **kwargs)
-        return holder
-
-    fmt = option("--format", choices=("text", "json"), default="text")
-    doc = option("--input", help="problem document path (default: stdin)")
-    y0 = option("--y0", type=int, help="pin the start value (overrides the document)")
-    horizon = option("--horizon", type=int, help="report indices 0..horizon-lookahead")
-
-    def command(name: str, handler, summary: str, *parents: argparse.ArgumentParser):
-        p = sub.add_parser(name, help=summary, parents=[*parents, fmt])
+    for name, (handler, summary, rows) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, kind, default, text, choices in rows:
+            nargs = {} if flag[0] == "-" else {"nargs": "+"}
+            p.add_argument(flag, type=kind, default=default, help=text, choices=choices, **nargs)
         p.set_defaults(handler=handler)
-        return p
-
-    command("classify", cmd_classify, "solution-set verdict and structure data", doc, y0)
-    p = command("solve", cmd_solve, "evaluate one solution over the horizon", doc, y0, horizon)
-    p.add_argument("--x10", type=int, default=0, help="free start parameter (default 0)")
-    p.add_argument("--alpha", type=_csv_ints, default=(),
-                   help="lift digits per index, comma-separated")
-    p = command("enumerate", cmd_enumerate, "list distinct solutions over the horizon",
-                doc, y0, horizon)
-    p.add_argument("--max", type=int, default=16, help="row cap (default 16)")
-    p = command("verify", cmd_verify, "check a candidate sequence against every transition",
-                doc, y0)
-    p.add_argument("candidate", type=int, nargs="+", help="candidate values x[0] x[1] ...")
-    p = command("oracle-check", cmd_oracle_check, "compare counts against brute force", doc)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="oracle states: prefix length times sum of m's prime powers "
-                        "(default %(default)s)")
-    p.add_argument("--oracle-n", type=int, default=5, help="prefix length (default 5)")
-    p = command("sweep", cmd_sweep, "oracle-agreement and equivalence sweeps")
-    p.add_argument("--m-max", type=int, default=12, help="largest modulus (default 12)")
-    p.add_argument("--trials", type=int, default=5, help="forcing sequences per cell (default 5)")
-    p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
     return parser
 
 
 def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """build_parser().parse_args(argv), but a well-formed command line is read off its
-    command's declarations (_read_args); help and every error still come from argparse."""
-    parser = build_parser()
+    """build_parser().parse_args(argv), but a well-formed command line is read off COMMANDS
+    (_read_args); help and every error still come from argparse."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    if argv and argv[0] in commands and (args := _read_args(commands[argv[0]], argv[1:])):
-        args.command = argv[0]
+    if argv and argv[0] in COMMANDS and (args := _read_args(argv[0], argv[1:])):
         return args
-    return parser.parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 @functools.cache
-def _declarations(sub: argparse.ArgumentParser) -> tuple[dict, dict, argparse.Action | None] | None:
-    """A command parser's (option string -> action, defaults, positional), or None if it
-    declares anything but single-valued optional options and one nargs="+" positional."""
-    actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
-    positionals = [a for a in actions if not a.option_strings]
-    if (sub.prefix_chars != "-" or sub.fromfile_prefix_chars or sub._mutually_exclusive_groups
-            or sub._has_negative_number_optionals or len(positionals) > 1
-            or any(type(a) is not argparse._StoreAction
-                   or (a.nargs, a.required) != ((None, False) if a.option_strings else ("+", True))
-                   or isinstance(a.default, str) and a.type is not None for a in actions)):
-        return None
-    options = {s: a for a in actions for s in a.option_strings}
-    defaults = {a.dest: a.default for a in actions if argparse.SUPPRESS not in (a.dest, a.default)}
-    return options, {**sub._defaults, **defaults}, next(iter(positionals), None)
+def _options(name: str) -> tuple[dict, dict, tuple | None]:
+    """Command name's (flag -> (dest, type, choices), namespace defaults, the positional's
+    (dest, type, choices) or None), derived from its COMMANDS rows on first use."""
+    handler, _, rows = COMMANDS[name]
+    specs = {flag: (flag.lstrip("-").replace("-", "_"), kind, choices)
+             for flag, kind, _, _, choices in rows}
+    defaults = {dest: row[2] for row, (dest, *_) in zip(rows, specs.values())}
+    positional = next((spec for flag, spec in specs.items() if flag[0] != "-"), None)
+    options = {flag: spec for flag, spec in specs.items() if flag[0] == "-"}
+    return options, {"command": name, **defaults, "handler": handler}, positional
 
 
-def _read_args(sub: argparse.ArgumentParser, words: list[str]) -> argparse.Namespace | None:
-    """sub.parse_args(words) when words are declared option strings, each with one value, and
-    one unbroken run of positional words, every value passing its type and choices; else None."""
-    if (declared := _declarations(sub)) is None:
-        return None
-    options, defaults, positional = declared
+def _read_args(name: str, words: list[str]) -> argparse.Namespace | None:
+    """build_parser().parse_args([name, *words]) when words are the command's flags, each with
+    one value, and one unbroken run of positional words, every value passing _value; else None."""
+    options, defaults, positional = _options(name)
     values, run, closed = dict(defaults), [], False
-    numeric = sub._negative_number_matcher.match  # "-5" is a value; "-x" an unknown option
     words = iter(words)
     try:
         for word in words:
             if word in options:
-                value = next(words, "-")  # a missing value reads as one argparse refuses
-                if value[:1] == "-" and not numeric(value):
-                    return None
-                values[options[word].dest] = _value(sub, options[word], value)
+                # a missing value reads as "-", which argparse refuses too
+                values[options[word][0]] = _value(options[word], next(words, "-"))
                 closed = bool(run)
-            elif positional is None or closed or word[:1] == "-" and not numeric(word):
+            elif positional is None or closed:
                 return None
             else:
-                run.append(_value(sub, positional, word))
+                run.append(_value(positional, word))
     except (argparse.ArgumentTypeError, TypeError, ValueError):
         return None
     if positional is not None:
         if not run:
             return None
-        values[positional.dest] = run
+        values[positional[0]] = run
     return argparse.Namespace(**values)
 
 
-def _value(sub: argparse.ArgumentParser, action: argparse.Action, word: str) -> Any:
-    """word through the action's type; ValueError unless the result is one of its choices."""
-    value = sub._registry_get("type", action.type, action.type)(word)
-    if action.choices is not None and value not in action.choices:
+def _value(spec: tuple, word: str) -> object:
+    """word through spec's type and choices, else ValueError; a word starting with "-" passes
+    only as a negative number in ASCII digits, which every supported argparse reads as a value."""
+    _, kind, choices = spec
+    if word[:1] == "-" and not (word[1:].isdigit() and word.isascii()):
+        raise ValueError(word)
+    value = kind(word)
+    if choices is not None and value not in choices:
         raise ValueError(word)
     return value
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from zmdiff.cli import (
+    COMMANDS,
     DocumentError,
-    _declarations,
     _json,
     _parse_args,
     build_parser,
@@ -29,6 +30,12 @@ from zmdiff.solver import Structure, shape
 
 from argv_fuzz import command_line, main as fuzz, parsed
 from test_golden import BIG_IND32
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+import workloads  # noqa: E402
+
+sys.path.remove(str(BENCH))
 
 EX1 = {"m": 6, "a": 2, "b": 3, "f": [1, 2, 0, 1], "f_period": 4}
 EX2 = {"m": 9, "a": 2, "b": 3, "f": [1], "f_period": 1}
@@ -446,15 +453,12 @@ def test_readme_synopsis_lists_each_commands_flags():
     block = readme.split("### Commands", 1)[1].split("```")[1]
     documented = {line.split()[1]: set(re.findall(r"--[a-z0-9-]+", line))
                   for line in block.splitlines() if line.startswith("zmdiff ")}
-    commands = next(a for a in build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
-    declared = {name: {flag for action in sub._actions for flag in action.option_strings
-                       if flag.startswith("--")} - {"--format", "--help"}
-                for name, sub in commands.items()}
+    declared = {name: {row[0] for row in rows if row[0].startswith("--")} - {"--format"}
+                for name, (_, _, rows) in COMMANDS.items()}
     assert documented == declared
 
 
-COMMANDS = ("classify", "solve", "enumerate", "verify", "oracle-check", "sweep")
+NAMES = tuple(COMMANDS)
 FLAGS = ("--format", "--input", "--y0", "--horizon", "--x10", "--alpha", "--max", "--budget",
          "--oracle-n", "--m-max", "--trials", "--seed", "-h", "--help", "--",
          "--format=json", "--input=x", "--hor", "--for", "--h", "--m", "-x")
@@ -463,8 +467,8 @@ VALUES = ("json", "text", "xml", "3", "-1", "0", "1,2", "1,,2", "abc", "1.5", ""
 JUNK = ("solv", "help", "-", "---", "--nope", "junk", "--y0=4")
 ARGVS = st.one_of(
     st.builds(lambda first, rest: [first, *rest],
-              st.one_of(st.sampled_from(COMMANDS), st.sampled_from(FLAGS + VALUES + JUNK)),
-              st.lists(st.sampled_from(COMMANDS + FLAGS + VALUES + JUNK), max_size=7)),
+              st.one_of(st.sampled_from(NAMES), st.sampled_from(FLAGS + VALUES + JUNK)),
+              st.lists(st.sampled_from(NAMES + FLAGS + VALUES + JUNK), max_size=7)),
     st.randoms(use_true_random=False).map(command_line),  # well-formed, or one word off
 )
 
@@ -506,30 +510,29 @@ def test_the_stdlib_only_fuzz_finds_no_difference(capsys):
 
 
 def test_a_long_window_command_line_never_reaches_argparse(monkeypatch):
+    # every argv of three rounds of the two CLI workloads is read off COMMANDS, as argparse
+    # would read it
+    argvs = [list(op.argv) for workload in ("long_window", "doc_commands") for r in range(3)
+             for op in workloads.make_round(workload, 1, r)]
+    expected = [vars(build_parser().parse_args(argv)) for argv in argvs]
+
     def refuse(*args, **kwargs):
         raise AssertionError("argparse parsed a well-formed command line")
 
     for name in ("parse_args", "parse_known_args"):
         monkeypatch.setattr(argparse.ArgumentParser, name, refuse)
+    assert [vars(_parse_args(argv)) for argv in argvs] == expected
     args = _parse_args(["solve", "--format", "json", "--horizon", "360", "--y0", "5"])
     assert vars(args) == {"command": "solve", "handler": cmd_solve, "format": "json",
                           "input": None, "y0": 5, "horizon": 360, "x10": 0, "alpha": ()}
 
 
-@pytest.mark.parametrize("declare", [
-    lambda p: p.add_argument("--on", action="store_true"),
-    lambda p: p.add_argument("--pair", nargs=2),
-    lambda p: p.add_argument("--must", required=True),
-    lambda p: p.add_argument("--n", type=int, default="5"),
-    lambda p: p.add_argument("-1", dest="minus_one"),
-    lambda p: p.add_argument("one"),
-    lambda p: p.add_mutually_exclusive_group().add_argument("--either"),
-], ids=["store_true", "nargs=2", "required", "str default", "negative-number flag",
-        "nargs=None positional", "exclusive group"])
-def test_a_declaration_the_table_cannot_follow_leaves_the_command_to_argparse(declare):
-    parser = argparse.ArgumentParser()
-    declare(parser)
-    assert _declarations(parser) is None
+def test_the_cli_does_not_import_typing():
+    code = "import zmdiff.cli, sys; print('typing' in sys.modules)"
+    src = str(Path(__file__).parents[1] / "src")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 class TestMainPlumbing:
